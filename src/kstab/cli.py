@@ -8,7 +8,8 @@ invocations produce byte-identical json and csv output: rows are generated
 in parameter order and keys in fixed order.
 
 Exit codes: 0 on completion, 1 on an invalid invocation, 2 when any row
-ended in a contract-breach error.
+ended in an ``error:<code>`` verdict (whatever the code) or when
+dump-instance raised a kstab error.
 """
 
 from __future__ import annotations
@@ -23,28 +24,17 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from io import StringIO
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import criteria, verify
 from .errors import InvalidParameterError, KstabError, NoBracketError
-from .families import (
-    FamilyInstance,
-    FamilyTag,
-    blpp_resolve,
-    blqq_resolve,
-    instance_record,
-    quad_resolve,
-    resolve_anticanonical,
-)
-from .poly import Poly1, Poly2, rational_from_str, rational_to_str
-from .polytope import Segment
-from .quadrature import integrate_poly1, integrate_poly2_polygon
+from .families import FamilyTag, instance_record, resolve
+from .poly import rational_from_str, rational_to_str
 
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "KSTAB_JOBS"
 
 _FAMILIES = {tag.cli_name: tag for tag in FamilyTag}
-_P_FAMILIES = (FamilyTag.BLPP, FamilyTag.BLQQ)
 
 
 class SpecError(Exception):
@@ -134,6 +124,7 @@ def _build_parser() -> _Parser:
     mh = sub.add_parser("mh", help="multiplier-Hermitian certificates")
     mh.add_argument("--n", required=True)
     mh.add_argument("--p", default=None)
+    mh.set_defaults(family="blpp")
     add_common(mh)
 
     ver = sub.add_parser("verify", help="run the theorem-verification suites")
@@ -160,22 +151,21 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
         else:
             n_values = _parse_range(ns.n, "--n")
 
+    # p_all: every p of the family at each n, which is (None,) for a family without p.
     p_all, p_values = False, ()
     p_arg = getattr(ns, "p", None)
-    needs_p = family in _P_FAMILIES and ns.command in ("ke", "mabuchi") or ns.command == "mh"
-    if ns.command == "mabuchi" and family is FamilyTag.BLQQ:
-        raise SpecError("field --family: no Mabuchi test is defined for blqq")
-    if p_arg is not None:
-        if family not in _P_FAMILIES and ns.command in ("ke", "mabuchi", "dump-instance"):
-            raise SpecError(f"field --p: family {family.cli_name if family else '?'} takes no p")
-        if ns.command == "dump-instance":
-            p_values = (int(p_arg),)
-        elif str(p_arg).strip() == "all":
-            p_all = True
-        else:
-            p_values = _parse_range(str(p_arg), "--p")
-    elif needs_p:
+    if p_arg is None:
+        if ns.command == "dump-instance" and family.takes_p:
+            raise SpecError("field --p: required for this family")
         p_all = True
+    elif not family.takes_p:
+        raise SpecError(f"field --p: family {family.cli_name} takes no p")
+    elif ns.command == "dump-instance":
+        p_values = (p_arg,)
+    elif p_arg.strip() == "all":
+        p_all = True
+    else:
+        p_values = _parse_range(p_arg, "--p")
 
     k_values: tuple[int, ...] = ()
     if ns.command == "coupled":
@@ -234,48 +224,20 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
 # ---------------------------------------------------------------------------
 
 
-def _min_n(spec: RunSpec) -> int:
-    if spec.command == "mh" or spec.family is FamilyTag.BLPP:
-        return 4
-    if spec.family is FamilyTag.BLQQ:
-        return 6
-    return 5
-
-
-def _p_range(spec: RunSpec, n: int) -> range:
-    if spec.family is FamilyTag.BLQQ:
-        return range(3, n - 2)
-    return range(2, n - 1)
-
-
-def _p_span(spec: RunSpec, n: int) -> Iterable[int]:
-    if not (spec.family in _P_FAMILIES or spec.command == "mh"):
-        return (0,)
-    if spec.p_all:
-        return _p_range(spec, n)
-    return list(spec.p_values)
-
-
 def _tasks_for(spec: RunSpec) -> list[tuple]:
-    tasks: list[tuple] = []
-    if spec.command in ("ke", "mabuchi", "mh"):
-        fam = spec.family.cli_name if spec.family else "blpp"
-        min_n = _min_n(spec)
-        if all(n < min_n for n in spec.n_values):
-            raise SpecError(f"field --n: every requested n is below the family minimum {min_n}")
-        takes_p = spec.family in _P_FAMILIES or spec.command == "mh"
-        if takes_p and not spec.p_all:
-            if not any(p in _p_range(spec, n) for n in spec.n_values for p in spec.p_values):
-                raise SpecError("field --p: out of range for every requested n")
-        for n in spec.n_values:
-            for p in _p_span(spec, n):
-                tasks.append((spec.command, fam, n, p, spec.divisor))
-    elif spec.command == "coupled":
+    if spec.command == "coupled":
         if all(k < 2 for k in spec.k_values):
             raise SpecError("field --k: must reach at least 2")
-        for k in spec.k_values:
-            tasks.append((spec.command, "blpp", k, spec.bisections, spec.start, spec.end))
-    return tasks
+        return [(spec.command, "blpp", k, spec.bisections, spec.start, spec.end)
+                for k in spec.k_values]
+    tag = spec.family
+    if all(n < tag.min_n for n in spec.n_values):
+        raise SpecError(f"field --n: every requested n is below the family minimum {tag.min_n}")
+    if not spec.p_all and not any(p in tag.p_values(n) for n in spec.n_values for p in spec.p_values):
+        raise SpecError("field --p: out of range for every requested n")
+    return [(spec.command, tag.cli_name, n, p, spec.divisor)
+            for n in spec.n_values
+            for p in (tag.p_values(n) if spec.p_all else spec.p_values)]
 
 
 def _run_task(task: tuple) -> dict:
@@ -301,45 +263,22 @@ def _run_task(task: tuple) -> dict:
 
 
 def _task_params(task: tuple) -> dict:
-    command = task[0]
-    if command == "coupled":
+    if task[0] == "coupled":
         return {"k": task[2]}
-    params = {"n": task[2]}
-    if task[1] in ("blpp", "blqq") or command == "mh":
-        params["p"] = task[3]
-    return params
+    return _named_params(task[2], task[3])
 
 
-def _resolve_for(family: str, n: int, p: int, divisor) -> FamilyInstance:
-    tag = _FAMILIES[family]
-    if divisor is None:
-        return resolve_anticanonical(tag, n, p if tag in _P_FAMILIES else None)
-    if tag is FamilyTag.BLPP:
-        return blpp_resolve(n, p, divisor)
-    if tag is FamilyTag.BLQQ:
-        return blqq_resolve(n, p)
-    return quad_resolve(tag, n, divisor)
-
-
-def _ke_row(family: str, n: int, p: int, divisor) -> dict:
-    inst = _resolve_for(family, n, p, divisor)
-    verdict = criteria.ke_classify(inst)
-    bary = criteria.instance_barycenter(inst)
-    expanded = inst.weight.expand()
-    if isinstance(inst.domain, Segment):
-        assert isinstance(expanded, Poly1)
-        mass = integrate_poly1(expanded, inst.domain)
-        witness = {"mass": mass, "bary_t": bary[0], "xi_t": verdict.xi[0]}
-    else:
-        assert isinstance(expanded, Poly2)
-        mass = integrate_poly2_polygon(expanded, inst.domain)
-        witness = {"mass": mass, "bary_x": bary[0], "bary_y": bary[1],
-                   "xi_x": verdict.xi[0], "xi_y": verdict.xi[1]}
-    return {"family": family, "params": _named_params(family, n, p),
+def _ke_row(family: str, n: int, p: int | None, divisor) -> dict:
+    verdict = criteria.ke_classify(resolve(_FAMILIES[family], n, p, divisor))
+    axes = "t" if len(verdict.xi) == 1 else "xy"
+    witness = {"mass": verdict.mass}
+    witness.update((f"bary_{a}", b) for a, b in zip(axes, verdict.barycenter))
+    witness.update((f"xi_{a}", x) for a, x in zip(axes, verdict.xi))
+    return {"family": family, "params": _named_params(n, p),
             "verdict": verdict.status.value, "witness": witness}
 
 
-def _mabuchi_row(family: str, n: int, p: int, divisor) -> dict:
+def _mabuchi_row(family: str, n: int, p: int | None, divisor) -> dict:
     if family == "blpp":
         verdict = criteria.mabuchi_blpp(n, p)
     else:
@@ -347,7 +286,7 @@ def _mabuchi_row(family: str, n: int, p: int, divisor) -> dict:
     witness = dict(verdict.detail)
     if verdict.ratio is not None:
         witness["ratio"] = verdict.ratio
-    return {"family": family, "params": _named_params(family, n, p),
+    return {"family": family, "params": _named_params(n, p),
             "verdict": verdict.status.value, "witness": witness}
 
 
@@ -356,7 +295,7 @@ def _mh_row(family: str, n: int, p: int, divisor) -> dict:
     witness = {"moment_integral": cert.moment_integral}
     for idx, minimum in enumerate(cert.concavity_witness):
         witness[f"factor_min_{idx}"] = minimum
-    return {"family": "blpp", "params": {"n": n, "p": p},
+    return {"family": family, "params": _named_params(n, p),
             "verdict": "certificate", "witness": witness}
 
 
@@ -376,10 +315,8 @@ def _coupled_row(family: str, k: int, bisections: int, start, end) -> dict:
     return {"family": "blpp", "params": {"k": k}, "verdict": "certificate", "witness": witness}
 
 
-def _named_params(family: str, n: int, p: int) -> dict:
-    if family in ("blpp", "blqq"):
-        return {"n": n, "p": p}
-    return {"n": n}
+def _named_params(n: int, p: int | None) -> dict:
+    return {"n": n} if p is None else {"n": n, "p": p}
 
 
 def _execute_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
@@ -514,15 +451,8 @@ def execute(spec: RunSpec) -> tuple[str, int]:
         results = verify.verify_theorems(max_n=spec.max_n, suite=spec.suite)
         return _render_verify(results, spec.fmt), 0
     if spec.command == "dump-instance":
-        tag = spec.family
-        assert tag is not None
         p = spec.p_values[0] if spec.p_values else None
-        if tag in _P_FAMILIES and p is None:
-            raise SpecError("field --p: required for this family")
-        if spec.divisor is not None:
-            inst = _resolve_for(tag.cli_name, spec.n_values[0], p or 0, spec.divisor)
-        else:
-            inst = resolve_anticanonical(tag, spec.n_values[0], p)
+        inst = resolve(spec.family, spec.n_values[0], p, spec.divisor)
         return json.dumps(instance_record(inst), indent=2) + "\n", 0
 
     tasks = _tasks_for(spec)
@@ -535,8 +465,8 @@ def execute(spec: RunSpec) -> tuple[str, int]:
         text = _render_rows_csv(spec.command, rows)
     else:
         text = _render_rows_markdown(spec.command, rows)
-    had_breach = any(row["verdict"].startswith("error:") for row in rows)
-    return text, 2 if had_breach else 0
+    had_error = any(row["verdict"].startswith("error:") for row in rows)
+    return text, 2 if had_error else 0
 
 
 def render_to_string(argv: Sequence[str]) -> str:

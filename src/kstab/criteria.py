@@ -19,6 +19,7 @@ from .errors import (
     NoBracketError,
     NotAmpleError,
     NotAnticanonicalError,
+    ZeroMassError,
 )
 from .families import (
     Divisor,
@@ -27,11 +28,12 @@ from .families import (
     anticanonical_divisor,
     blpp_ample,
     blpp_resolve,
+    check_params,
     resolve_anticanonical,
 )
 from .poly import AffineForm, FactoredWeight, Poly1, Poly2, RationalLike, _as_fraction, binomial
 from .polytope import Segment
-from .quadrature import barycenter, barycenter1, integrate_poly1, integrate_poly2_polygon, moments
+from .quadrature import barycenter1, integrate_poly1, integrate_poly2_polygon, moments, moments1
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +49,13 @@ class KEStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class KEVerdict:
+    """Verdict with its witness: the weight mass and barycenter of the
+    domain, and the offset ``xi`` of the barycenter from the target."""
+
     status: KEStatus
     xi: tuple[Fraction, ...]
+    mass: Fraction
+    barycenter: tuple[Fraction, ...]
 
 
 def classify_offset(xi: Sequence[Fraction], strict_axes: Sequence[int]) -> KEStatus:
@@ -70,14 +77,24 @@ def classify_offset(xi: Sequence[Fraction], strict_axes: Sequence[int]) -> KESta
     return KEStatus.BOUNDARY
 
 
-def instance_barycenter(inst: FamilyInstance) -> tuple[Fraction, ...]:
-    """Weight barycenter of an instance domain, as a 1- or 2-vector."""
+def instance_moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Weight mass and barycenter (a 1- or 2-vector) of an instance domain;
+    requires nonzero mass."""
     expanded = inst.weight.expand()
     if isinstance(inst.domain, Segment):
-        assert isinstance(expanded, Poly1)
-        return (barycenter1(expanded, inst.domain),)
-    assert isinstance(expanded, Poly2)
-    return barycenter(expanded, inst.domain)
+        mass, first = moments1(expanded, inst.domain)
+        firsts: tuple[Fraction, ...] = (first,)
+    else:
+        m = moments(expanded, inst.domain)
+        mass, firsts = m.mass, (m.mx, m.my)
+    if mass == 0:
+        raise ZeroMassError("weight has zero mass on the instance domain")
+    return mass, tuple(f / mass for f in firsts)
+
+
+def instance_barycenter(inst: FamilyInstance) -> tuple[Fraction, ...]:
+    """Weight barycenter of an instance domain, as a 1- or 2-vector."""
+    return instance_moments(inst)[1]
 
 
 def ke_classify(inst: FamilyInstance) -> KEVerdict:
@@ -88,19 +105,14 @@ def ke_classify(inst: FamilyInstance) -> KEVerdict:
         raise NotAnticanonicalError(
             f"{inst.tag.cli_name}{inst.dims}: classification needs the anticanonical divisor"
         )
-    bary = instance_barycenter(inst)
+    mass, bary = instance_moments(inst)
     xi = tuple(b - t for b, t in zip(bary, inst.target))
-    return KEVerdict(classify_offset(xi, inst.strict_axes), xi)
+    return KEVerdict(classify_offset(xi, inst.strict_axes), xi, mass, bary)
 
 
 # ---------------------------------------------------------------------------
 # Blown-up projective space: exact moment integral and closed form
 # ---------------------------------------------------------------------------
-
-
-def _check_blpp(n: int, p: int) -> None:
-    if not 2 <= p <= n - 2:
-        raise InvalidParameterError(f"need 2 <= p <= n-2, got n={n}, p={p}")
 
 
 def blpp_moment(n: int, p: int) -> Fraction:
@@ -119,7 +131,7 @@ def blpp_moment(n: int, p: int) -> Fraction:
 
 def blpp_moment_closed(n: int, p: int) -> Fraction:
     """Closed form of blpp_moment from the explicit antiderivative."""
-    _check_blpp(n, p)
+    check_params(FamilyTag.BLPP, n, p)
     q = n - p
     return Fraction(-((p - 1) ** p * (q + 1) ** q - (p + 1) ** p * (q - 1) ** q), n)
 
@@ -136,8 +148,6 @@ def blpp_moment_sign(n: int, p: int) -> int:
 
 
 def _blqq_instance(k: int, l: int) -> FamilyInstance:
-    if k < 2 or l < 2:
-        raise InvalidParameterError(f"need k, l >= 2, got k={k}, l={l}")
     return resolve_anticanonical(FamilyTag.BLQQ, k + l + 2, k + 1)
 
 
@@ -212,8 +222,7 @@ def quad_e_x_barycenter(n: int) -> Fraction:
 
 def quad_e_x_barycenter_closed(n: int) -> Fraction:
     """Closed form of the quade anticanonical x-barycenter."""
-    if n < 5:
-        raise InvalidParameterError(f"need n >= 5, got n={n}")
+    check_params(FamilyTag.QUAD_E, n)
     return Fraction(2 * (n - 3) ** 2 * (n - 2), (n - 1) * (2 * n - 5))
 
 
@@ -234,8 +243,7 @@ def quad_pt_margin_closed(n: int) -> int:
     Exactly (n-3)(n-1)n times the exact margin; only the shared sign
     matters to the verdict.
     """
-    if n < 5:
-        raise InvalidParameterError(f"need n >= 5, got n={n}")
+    check_params(FamilyTag.QUAD_PT, n)
     return 4 * (n - 2) ** (n - 1) - (n - 3) ** (n - 2) * (2 * n * n + n - 9)
 
 
@@ -278,7 +286,6 @@ def mabuchi_blpp(n: int, p: int) -> MabuchiVerdict:
     interval [-1, 1].  A vanishing first moment is the Kähler-Einstein
     case, where the trivial datum already gives a Mabuchi metric.
     """
-    _check_blpp(n, p)
     w = blpp_centered_weight(n, p)
     box = Segment.of(-1, 1)
     first = integrate_poly1(w * Poly1.variable(), box)
@@ -301,8 +308,6 @@ def mabuchi_quadpt(n: int) -> MabuchiVerdict:
     moment condition checked here does not decide existence, so the verdict
     is inconclusive.
     """
-    if n < 5:
-        raise InvalidParameterError(f"need n >= 5, got n={n}")
     inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
     w = inst.weight.expand()
     assert isinstance(w, Poly2)
@@ -346,7 +351,7 @@ def mh_certificate(n: int, p: int) -> MHCertificate:
     so the twisted moment vanishes identically and the logarithm of w(-t)
     is smooth and concave (a sum of logarithms of positive affine forms).
     """
-    _check_blpp(n, p)
+    check_params(FamilyTag.BLPP, n, p)
     q = n - p
     reflected = FactoredWeight.of(
         1,

@@ -1,24 +1,29 @@
-"""The three manifold families, encoded as pure data.
+"""The five manifold families, stated once as data.
 
-Each family resolves integer dimensions plus a real divisor class into the
-quintuple the stability criteria consume: a rational moment domain, a
-factored integration weight, a target vector, the axes on which the
-barycenter must strictly exceed the target, and an ampleness verdict.
+``FAMILY_DATA`` holds one ``FamilyData`` record per ``FamilyTag``.  It is the
+only place that states a family's parameter domain (whether it takes p, its
+smallest n and its p range), its anticanonical divisor class and, for the
+quadric blow-ups, the facet that each exceptional coefficient cuts off the
+shared base domain.  ``resolve(tag, n, p, divisor)`` turns a family member and
+a divisor class (``None`` for the anticanonical class) into the quintuple the
+stability criteria consume: a rational moment domain, a factored integration
+weight, a target vector, the axes on which the barycenter must strictly exceed
+the target, and an ampleness verdict.
 
 Families and their divisor coordinates:
 
 * ``blpp``   : projective space blown up along two disjoint complementary
   linear subspaces.  Divisor = (c, d_plus, d_minus): coefficient on the
   pair of color divisors and on the two invariant boundary divisors.
-  One-dimensional moment domain.
+  One-dimensional moment domain; 2 <= p <= n-2.
 * ``blqq``   : a quadric blown up along a linear subquadric of codimension
-  at least three (only the anticanonical class is exposed; no ampleness
-  inequalities are known to us for general classes in this family).
-* ``quade``  : a quadric blown up along the codimension-two subquadric.
-  Divisor = (c, e): boundary-pair coefficient and exceptional coefficient.
-* ``quadpt`` : a quadric blown up at one point.  Divisor = (c, e_plus).
-* ``quadpm`` : a quadric blown up at an antipodal point pair.
-  Divisor = (c, e_plus, e_minus).
+  at least three; 3 <= p <= n-3.  Only the anticanonical class is exposed
+  (no ampleness inequalities are known to us for general classes here).
+* ``quade``, ``quadpt``, ``quadpm`` : a quadric (n >= 5) blown up along the
+  codimension-two subquadric, at one point, or at an antipodal point pair.
+  Divisor = (c, e...): the boundary-pair coefficient, then one exceptional
+  coefficient e per facet a*x + b*y <= e on the shared base
+  {x >= 0, |y| <= 2c - x}; the class is ample iff 0 < e < 2c for every e.
 
 Coordinate convention for the two-dimensional families: everything is
 stated in doubled lattice coordinates; criteria only consume signs and
@@ -31,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import InvalidParameterError, WeightPositivityError
 from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, rational_to_str
@@ -56,6 +61,49 @@ class FamilyTag(enum.Enum):
     def cli_name(self) -> str:
         return self.value
 
+    @property
+    def takes_p(self) -> bool:
+        return FAMILY_DATA[self].p_margin > 0
+
+    @property
+    def min_n(self) -> int:
+        return FAMILY_DATA[self].min_n
+
+    def p_values(self, n: int) -> Sequence[int | None]:
+        """The valid p at dimension n, or ``(None,)`` for a family without p."""
+        margin = FAMILY_DATA[self].p_margin
+        return range(margin, n - margin + 1) if margin else (None,)
+
+
+@dataclass(frozen=True)
+class FamilyData:
+    """The parameter domain and divisor data of one family.
+
+    ``p_margin`` is 0 for a family without p; otherwise p runs over
+    ``p_margin..n-p_margin``.  ``anticanonical(n, p)`` is the divisor of
+    the anticanonical class.  ``exceptional_normals`` holds, for a quadric
+    blow-up, the normal (a, b) of the facet a*x + b*y <= e that each
+    exceptional coefficient e cuts off the base {x >= 0, |y| <= 2c - x}.
+    """
+
+    min_n: int
+    p_margin: int
+    anticanonical: Callable[[int, int | None], Divisor]
+    exceptional_normals: tuple[tuple[int, int], ...] = ()
+
+
+FAMILY_DATA = {
+    FamilyTag.BLPP: FamilyData(
+        4, 2, lambda n, p: (Fraction(n, 2), p + 1 - Fraction(n, 2), Fraction(n, 2) - p + 1)),
+    FamilyTag.BLQQ: FamilyData(6, 3, lambda n, p: (Fraction(n, 2) - 1, Fraction(p - 1))),
+    FamilyTag.QUAD_E: FamilyData(
+        5, 0, lambda n, p: (Fraction(n, 2) - 1, Fraction(n - 3)), ((1, 0),)),
+    FamilyTag.QUAD_PT: FamilyData(
+        5, 0, lambda n, p: (Fraction(n, 2) - 1, Fraction(1)), ((0, -1),)),
+    FamilyTag.QUAD_PM: FamilyData(
+        5, 0, lambda n, p: (Fraction(n, 2) - 1, Fraction(1), Fraction(1)), ((0, -1), (0, 1))),
+}
+
 
 @dataclass(frozen=True)
 class FamilyInstance:
@@ -70,11 +118,22 @@ class FamilyInstance:
     strict_axes: tuple[int, ...]
     ample: bool
 
-    @property
-    def domain_vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        if isinstance(self.domain, Segment):
-            return ((self.domain.lo,), (self.domain.hi,))
-        return tuple(self.domain.vertices)
+
+def check_params(tag: FamilyTag, n: int, p: int | None = None) -> None:
+    """Raise InvalidParameterError unless (n, p) names a member of the family."""
+    if tag.takes_p and p not in tag.p_values(n):
+        margin = FAMILY_DATA[tag].p_margin
+        raise InvalidParameterError(
+            f"{tag.value} requires {margin} <= p <= n-{margin}, got n={n}, p={p}"
+        )
+    if n < tag.min_n:
+        raise InvalidParameterError(f"{tag.value} requires n >= {tag.min_n}, got n={n}")
+
+
+def anticanonical_divisor(tag: FamilyTag, n: int, p: int | None = None) -> Divisor:
+    """Divisor coefficients of the anticanonical class of a family member."""
+    check_params(tag, n, p)
+    return FAMILY_DATA[tag].anticanonical(n, p)
 
 
 def _as_divisor(values: Sequence[RationalLike], arity: int, family: str) -> Divisor:
@@ -98,21 +157,38 @@ def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[R
             )
 
 
+def resolve(
+    tag: FamilyTag, n: int, p: int | None = None, divisor: Sequence[RationalLike] | None = None
+) -> FamilyInstance:
+    """Resolve a family member and divisor class into criterion inputs.
+
+    ``divisor=None`` means the anticanonical class; blqq accepts no other.
+    """
+    if tag is FamilyTag.BLQQ:
+        inst = blqq_resolve(n, p)
+        if divisor is not None and _as_divisor(divisor, 2, "blqq") != inst.divisor:
+            raise InvalidParameterError("blqq exposes only the anticanonical divisor")
+        return inst
+    if divisor is None:
+        divisor = anticanonical_divisor(tag, n, p)
+    if tag is FamilyTag.BLPP:
+        return blpp_resolve(n, p, divisor)
+    return quad_resolve(tag, n, divisor)
+
+
+def resolve_anticanonical(tag: FamilyTag, n: int, p: int | None = None) -> FamilyInstance:
+    """Resolve the anticanonical member of any family."""
+    return resolve(tag, n, p)
+
+
 # ---------------------------------------------------------------------------
 # Projective space blown up along two complementary linear subspaces
 # ---------------------------------------------------------------------------
 
 
-def _check_blpp_dims(n: int, p: int) -> None:
-    if n < 4 or not 2 <= p <= n - 2:
-        raise InvalidParameterError(f"blpp requires n >= 4 and 2 <= p <= n-2, got n={n}, p={p}")
-
-
 def blpp_anticanonical(n: int, p: int) -> Divisor:
     """Divisor coefficients of the anticanonical class of the blpp family."""
-    _check_blpp_dims(n, p)
-    half_n = Fraction(n, 2)
-    return (half_n, p + 1 - half_n, half_n - p + 1)
+    return anticanonical_divisor(FamilyTag.BLPP, n, p)
 
 
 def blpp_ample(divisor: Sequence[RationalLike]) -> bool:
@@ -129,7 +205,7 @@ def blpp_resolve(n: int, p: int, divisor: Sequence[RationalLike]) -> FamilyInsta
     and the class is ample iff d_plus < c, d_minus < c and d_plus + d_minus > 0.
     The target is meaningful only for the anticanonical class.
     """
-    _check_blpp_dims(n, p)
+    check_params(FamilyTag.BLPP, n, p)
     c, d_plus, d_minus = _as_divisor(divisor, 3, "blpp")
     segment = Segment.of(max(-d_plus, -c), min(d_minus, c))
     weight = FactoredWeight.of(
@@ -166,8 +242,7 @@ def blqq_resolve(n: int, p: int) -> FamilyInstance:
     x^(k-1) y^(l-1), and the target is (k - 1, l - 1); the barycenter must
     strictly exceed the target on both axes.
     """
-    if p < 3 or p > n - 3:
-        raise InvalidParameterError(f"blqq requires 3 <= p <= n-3, got n={n}, p={p}")
+    divisor = anticanonical_divisor(FamilyTag.BLQQ, n, p)
     k, l = p - 1, n - p - 1
     domain = Polygon.from_vertices([(0, 0), (k, 0), (k, l), (0, k + l)])
     weight = FactoredWeight.of(
@@ -181,7 +256,7 @@ def blqq_resolve(n: int, p: int) -> FamilyInstance:
     return FamilyInstance(
         tag=FamilyTag.BLQQ,
         dims=(n, p),
-        divisor=(Fraction(n, 2) - 1, Fraction(p - 1)),
+        divisor=divisor,
         domain=domain,
         weight=weight,
         target=(Fraction(k - 1), Fraction(l - 1)),
@@ -194,110 +269,53 @@ def blqq_resolve(n: int, p: int) -> FamilyInstance:
 # Quadric blown up along the codimension-two subquadric, a point, or a pair
 # ---------------------------------------------------------------------------
 
-_QUAD_VARIANTS = (FamilyTag.QUAD_E, FamilyTag.QUAD_PT, FamilyTag.QUAD_PM)
+
+def _exceptional_normals(variant: FamilyTag) -> tuple[tuple[int, int], ...]:
+    normals = FAMILY_DATA[variant].exceptional_normals
+    if not normals:
+        raise InvalidParameterError(f"{variant} is not a quadric blow-up variant")
+    return normals
 
 
 def quad_anticanonical(variant: FamilyTag, n: int) -> Divisor:
     """Divisor coefficients of the anticanonical class of a quadric blow-up."""
-    _check_quad_dims(variant, n)
-    c = Fraction(n, 2) - 1
-    if variant is FamilyTag.QUAD_E:
-        return (c, Fraction(n - 3))
-    if variant is FamilyTag.QUAD_PT:
-        return (c, Fraction(1))
-    return (c, Fraction(1), Fraction(1))
-
-
-def _check_quad_dims(variant: FamilyTag, n: int) -> None:
-    if variant not in _QUAD_VARIANTS:
-        raise InvalidParameterError(f"{variant} is not a quadric blow-up variant")
-    if n < 5:
-        raise InvalidParameterError(f"quadric blow-ups require n >= 5, got n={n}")
+    _exceptional_normals(variant)
+    return anticanonical_divisor(variant, n)
 
 
 def quad_resolve(variant: FamilyTag, n: int, divisor: Sequence[RationalLike]) -> FamilyInstance:
     """Resolve a quadric blow-up divisor class in doubled coordinates.
 
-    Domains (doubled coordinates, c the boundary-pair coefficient):
+    The domain is the base {x >= 0, x - 2c <= y <= 2c - x}, c the
+    boundary-pair coefficient, cut by one facet per exceptional coefficient:
 
-    * quade :  {0 <= x <= e,            x - 2c <= y <= 2c - x}
-    * quadpt:  {0 <= x, -e_plus <= y,   x - 2c <= y <= 2c - x}
-    * quadpm:  quadpt with the extra ceiling y <= e_minus
+    * quade :  x <= e
+    * quadpt:  -y <= e_plus
+    * quadpm:  -y <= e_plus and y <= e_minus
 
-    The weight is x^(n-4) and the target is (n - 4, 0): strict excess is
-    required on the x axis, exact equality on the y axis.
+    The class is ample iff 0 < e < 2c for every exceptional e.  The weight
+    is x^(n-4) and the target is (n - 4, 0): strict excess is required on
+    the x axis, exact equality on the y axis.
     """
-    _check_quad_dims(variant, n)
-    if variant is FamilyTag.QUAD_E:
-        c, e = _as_divisor(divisor, 2, "quade")
-        planes = [
-            HalfPlane.of(-1, 0, 0),
-            HalfPlane.of(1, 0, e),
-            HalfPlane.of(1, -1, 2 * c),
-            HalfPlane.of(1, 1, 2 * c),
-        ]
-        ample = 0 < e < 2 * c
-        resolved: Divisor = (c, e)
-    elif variant is FamilyTag.QUAD_PT:
-        c, e_plus = _as_divisor(divisor, 2, "quadpt")
-        planes = [
-            HalfPlane.of(-1, 0, 0),
-            HalfPlane.of(0, -1, e_plus),
-            HalfPlane.of(1, -1, 2 * c),
-            HalfPlane.of(1, 1, 2 * c),
-        ]
-        ample = 0 < e_plus < 2 * c
-        resolved = (c, e_plus)
-    else:
-        c, e_plus, e_minus = _as_divisor(divisor, 3, "quadpm")
-        planes = [
-            HalfPlane.of(-1, 0, 0),
-            HalfPlane.of(0, -1, e_plus),
-            HalfPlane.of(0, 1, e_minus),
-            HalfPlane.of(1, -1, 2 * c),
-            HalfPlane.of(1, 1, 2 * c),
-        ]
-        ample = 0 < e_plus < 2 * c and 0 < e_minus < 2 * c
-        resolved = (c, e_plus, e_minus)
-
+    normals = _exceptional_normals(variant)
+    check_params(variant, n)
+    c, *exceptional = _as_divisor(divisor, 1 + len(normals), variant.value)
+    planes = [HalfPlane.of(-1, 0, 0)]
+    planes += [HalfPlane.of(a, b, e) for (a, b), e in zip(normals, exceptional)]
+    planes += [HalfPlane.of(1, -1, 2 * c), HalfPlane.of(1, 1, 2 * c)]
     domain = polygon_from_halfplanes(planes)
     weight = FactoredWeight.of(1, [(AffineForm.of(0, 1, 0), n - 4)])
     _check_weight_positive(weight, domain.vertices)
     return FamilyInstance(
         tag=variant,
         dims=(n,),
-        divisor=resolved,
+        divisor=(c, *exceptional),
         domain=domain,
         weight=weight,
         target=(Fraction(n - 4), Fraction(0)),
         strict_axes=(0,),
-        ample=ample,
+        ample=all(0 < e < 2 * c for e in exceptional),
     )
-
-
-def resolve_anticanonical(tag: FamilyTag, n: int, p: int | None = None) -> FamilyInstance:
-    """Resolve the anticanonical member of any family."""
-    if tag is FamilyTag.BLPP:
-        if p is None:
-            raise InvalidParameterError("blpp requires the parameter p")
-        return blpp_resolve(n, p, blpp_anticanonical(n, p))
-    if tag is FamilyTag.BLQQ:
-        if p is None:
-            raise InvalidParameterError("blqq requires the parameter p")
-        return blqq_resolve(n, p)
-    return quad_resolve(tag, n, quad_anticanonical(tag, n))
-
-
-def anticanonical_divisor(tag: FamilyTag, n: int, p: int | None = None) -> Divisor:
-    if tag is FamilyTag.BLPP:
-        if p is None:
-            raise InvalidParameterError("blpp requires the parameter p")
-        return blpp_anticanonical(n, p)
-    if tag is FamilyTag.BLQQ:
-        if p is None:
-            raise InvalidParameterError("blqq requires the parameter p")
-        return (Fraction(n, 2) - 1, Fraction(p - 1))
-    return quad_anticanonical(tag, n)
 
 
 RECORD_SCHEMA_VERSION = 1

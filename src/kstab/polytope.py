@@ -52,10 +52,6 @@ class Segment:
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, t: RationalLike) -> bool:
         v = _as_fraction(t)
         return self.lo <= v <= self.hi

@@ -353,24 +353,14 @@ def check_quadrature_properties(max_n: int, cases: int = 200, seed: int = 202402
 
     failures = []
     count = 0
-    for n in range(4, max_n + 1):
-        for p in range(2, n - 1):
-            count += 1
-            inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
-            if not inst.domain.contains(criteria.instance_barycenter(inst)[0]):
-                failures.append(f"blpp n={n},p={p}")
-    for n in range(6, max_n + 1):
-        for p in range(3, n - 2):
-            count += 1
-            inst = resolve_anticanonical(FamilyTag.BLQQ, n, p)
-            if not inst.domain.contains(criteria.instance_barycenter(inst)):
-                failures.append(f"blqq n={n},p={p}")
-    for tag in (FamilyTag.QUAD_E, FamilyTag.QUAD_PT, FamilyTag.QUAD_PM):
-        for n in range(5, max_n + 1):
-            count += 1
-            inst = resolve_anticanonical(tag, n)
-            if not inst.domain.contains(criteria.instance_barycenter(inst)):
-                failures.append(f"{tag.cli_name} n={n}")
+    for tag in FamilyTag:
+        for n in range(tag.min_n, max_n + 1):
+            for p in tag.p_values(n):
+                count += 1
+                inst = resolve_anticanonical(tag, n, p)
+                bary = criteria.instance_barycenter(inst)
+                if not inst.domain.contains(bary[0] if len(bary) == 1 else bary):
+                    failures.append(f"{tag.cli_name} n={n}" + ("" if p is None else f",p={p}"))
     out.append(_result(7, "barycenter lies inside every ample family domain",
                        failures, f"{count} instances"))
 

@@ -58,10 +58,13 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_csv_header(self):
-        text = render_to_string(["ke", "--family", "blpp", "--n", "4", "--p", "2",
-                                 "--format", "csv", "--jobs", "1"])
-        header = text.splitlines()[0]
-        assert header.startswith("family,n,p,verdict,mass,bary_t,xi_t")
+        for family_args, prefix in (
+            (["--family", "blpp", "--n", "4", "--p", "2"], "family,n,p,verdict,mass,bary_t,xi_t"),
+            (["--family", "quadpt", "--n", "5"], "family,n,verdict,mass,bary_x,bary_y,xi_x,xi_y"),
+        ):
+            text = render_to_string(["ke"] + family_args + ["--format", "csv", "--jobs", "1"])
+            header = text.splitlines()[0]
+            assert header.startswith(prefix)
 
 
 class TestExitCodes:

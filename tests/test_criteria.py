@@ -14,6 +14,7 @@ from kstab.errors import (
     NotAnticanonicalError,
 )
 from kstab.families import FamilyTag, blpp_resolve, resolve_anticanonical
+from kstab.quadrature import moments, moments1
 
 
 class TestClassifyOffset:
@@ -63,6 +64,24 @@ class TestKeClassify:
     def test_requires_anticanonical(self):
         with pytest.raises(NotAnticanonicalError):
             criteria.ke_classify(blpp_resolve(4, 2, (3, 1, 1)))
+
+    @pytest.mark.parametrize("tag, n, p", [
+        (FamilyTag.BLPP, 7, 3),
+        (FamilyTag.BLQQ, 8, 4),
+        (FamilyTag.QUAD_PM, 7, None),
+    ])
+    def test_verdict_carries_quadrature_moments(self, tag, n, p):
+        inst = resolve_anticanonical(tag, n, p)
+        verdict = criteria.ke_classify(inst)
+        weight = inst.weight.expand()
+        if tag is FamilyTag.BLPP:
+            mass, mt = moments1(weight, inst.domain)
+            firsts = (mt,)
+        else:
+            m = moments(weight, inst.domain)
+            mass, firsts = m.mass, (m.mx, m.my)
+        assert verdict.mass == mass
+        assert verdict.barycenter == tuple(f / mass for f in firsts)
 
 
 class TestMomentClosedForms:

@@ -173,6 +173,44 @@ class TestAnticanonicalSweep:
             assert inst.divisor == anticanonical_divisor(inst.tag, *inst.dims)
 
 
+def _anticanonical_members(max_n: int):
+    for tag in FamilyTag:
+        for n in range(tag.min_n, max_n + 1):
+            for p in tag.p_values(n):
+                yield resolve_anticanonical(tag, n, p)
+
+
+class TestFamilyTable:
+    """The anticanonical classes, targets and domains that the family table
+    produces are tied to the weights, so no literal value is restated here."""
+
+    def test_target_is_weighted_sum_of_factor_gradients(self):
+        for inst in _anticanonical_members(40):
+            total = [F(0)] * inst.tag.dimension
+            for form, mult in inst.weight.factors:
+                for axis, slope in enumerate(form.linear):
+                    total[axis] += mult * slope
+            if inst.tag is FamilyTag.BLPP:
+                total = [v / 2 for v in total]  # blpp's t is not doubled
+            assert tuple(total) == inst.target, (inst.tag, inst.dims)
+
+    def test_facet_slack_at_target(self):
+        # slack m_i on the wall where weight factor i vanishes, 2 on the
+        # diagonal facets, 1 on every other facet; blpp's ends are target +- 1
+        for inst in _anticanonical_members(40):
+            if isinstance(inst.domain, Segment):
+                t = inst.target[0]
+                assert (inst.domain.lo, inst.domain.hi) == (t - 1, t + 1), inst.dims
+                continue
+            vertices = inst.domain.vertices
+            for i, plane in enumerate(inst.domain.halfplanes):
+                edge = (vertices[i], vertices[(i + 1) % len(vertices)])
+                walls = [mult for form, mult in inst.weight.factors
+                         if all(form.evaluate(v) == 0 for v in edge)]
+                expected = walls[0] if walls else (2 if plane.a and plane.b else 1)
+                assert plane.slack(inst.target) == expected, (inst.tag, inst.dims, plane)
+
+
 class TestInstanceRecord:
     def test_segment_record(self):
         record = instance_record(resolve_anticanonical(FamilyTag.BLPP, 5, 2))
