@@ -33,7 +33,7 @@ from .families import (
 )
 from .poly import AffineForm, FactoredWeight, Poly1, Poly2, RationalLike, _as_fraction, binomial
 from .polytope import Segment
-from .quadrature import barycenter1, integrate_poly1, integrate_poly2_polygon, moments, moments1
+from .quadrature import integrate_poly1, integrate_poly2_polygon, moments, moments1
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,12 @@ def instance_barycenter(inst: FamilyInstance) -> tuple[Fraction, ...]:
     return instance_moments(inst)[1]
 
 
+def _moment_about_target(inst: FamilyInstance, axis: int) -> Fraction:
+    """Integral of (coordinate ``axis`` - its target) times the weight."""
+    mass, bary = instance_moments(inst)
+    return mass * (bary[axis] - inst.target[axis])
+
+
 def ke_classify(inst: FamilyInstance) -> KEVerdict:
     """Kähler-Einstein / K-semistability verdict for an anticanonical instance."""
     if not inst.ample:
@@ -122,11 +128,7 @@ def blpp_moment(n: int, p: int) -> Fraction:
     weight; its sign decides K-stability and its vanishing characterizes
     the Kähler-Einstein members.
     """
-    inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
-    w = inst.weight.expand()
-    assert isinstance(w, Poly1)
-    shifted = w * (Poly1.variable() - Poly1.constant(inst.target[0]))
-    return integrate_poly1(shifted, inst.domain)
+    return _moment_about_target(resolve_anticanonical(FamilyTag.BLPP, n, p), 0)
 
 
 def blpp_moment_closed(n: int, p: int) -> Fraction:
@@ -153,20 +155,12 @@ def _blqq_instance(k: int, l: int) -> FamilyInstance:
 
 def blqq_x_moment(k: int, l: int) -> Fraction:
     """Exact integral of (x - (k-1)) x^(k-1) y^(l-1) over the blqq domain."""
-    inst = _blqq_instance(k, l)
-    w = inst.weight.expand()
-    assert isinstance(w, Poly2)
-    f = w * (Poly2.variable(0) - Poly2.constant(k - 1))
-    return integrate_poly2_polygon(f, inst.domain)
+    return _moment_about_target(_blqq_instance(k, l), 0)
 
 
 def blqq_y_moment(k: int, l: int) -> Fraction:
     """Exact integral of (y - (l-1)) x^(k-1) y^(l-1) over the blqq domain."""
-    inst = _blqq_instance(k, l)
-    w = inst.weight.expand()
-    assert isinstance(w, Poly2)
-    f = w * (Poly2.variable(1) - Poly2.constant(l - 1))
-    return integrate_poly2_polygon(f, inst.domain)
+    return _moment_about_target(_blqq_instance(k, l), 1)
 
 
 def blqq_x_moment_closed(k: int, l: int) -> Fraction:
@@ -213,11 +207,7 @@ def blqq_y_moment_closed_k2(l: int) -> Fraction:
 
 def quad_e_x_barycenter(n: int) -> Fraction:
     """Exact x-barycenter of the anticanonical quade instance."""
-    inst = resolve_anticanonical(FamilyTag.QUAD_E, n)
-    w = inst.weight.expand()
-    assert isinstance(w, Poly2)
-    m = moments(w, inst.domain)
-    return m.mx / m.mass
+    return instance_barycenter(resolve_anticanonical(FamilyTag.QUAD_E, n))[0]
 
 
 def quad_e_x_barycenter_closed(n: int) -> Fraction:
@@ -226,15 +216,19 @@ def quad_e_x_barycenter_closed(n: int) -> Fraction:
     return Fraction(2 * (n - 3) ** 2 * (n - 2), (n - 1) * (2 * n - 5))
 
 
+def _quad_pt_y_moments(n: int) -> tuple[Fraction, Fraction]:
+    """First and second y-moments of the anticanonical quadpt weight."""
+    inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
+    wy = inst.weight.expand() * Poly2.variable(1)
+    first = integrate_poly2_polygon(wy, inst.domain)
+    return first, integrate_poly2_polygon(wy * Poly2.variable(1), inst.domain)
+
+
 def quad_pt_margin(n: int) -> Fraction:
     """Exact decision quantity of the quadpt test: second y-moment minus
     (n-2) times the first, integrated against the weight."""
-    inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
-    w = inst.weight.expand()
-    assert isinstance(w, Poly2)
-    y = Poly2.variable(1)
-    f = w * y * (y - Poly2.constant(n - 2))
-    return integrate_poly2_polygon(f, inst.domain)
+    first, second = _quad_pt_y_moments(n)
+    return second - (n - 2) * first
 
 
 def quad_pt_margin_closed(n: int) -> int:
@@ -308,12 +302,7 @@ def mabuchi_quadpt(n: int) -> MabuchiVerdict:
     moment condition checked here does not decide existence, so the verdict
     is inconclusive.
     """
-    inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
-    w = inst.weight.expand()
-    assert isinstance(w, Poly2)
-    y = Poly2.variable(1)
-    first = integrate_poly2_polygon(w * y, inst.domain)
-    second = integrate_poly2_polygon(w * y * y, inst.domain)
+    first, second = _quad_pt_y_moments(n)
     if first <= 0:
         raise ContractError(f"quadpt first y-moment should be positive, got {first}")
     ratio = second / first
@@ -421,12 +410,7 @@ def coupled_residual(k: int, divisor: Sequence[RationalLike]) -> Fraction:
     n, p = 2 * k + 1, k
     first = blpp_resolve(n, p, divisor)
     second = blpp_resolve(n, p, coupled_complement(k, divisor))
-    total = Fraction(0)
-    for inst in (first, second):
-        w = inst.weight.expand()
-        assert isinstance(w, Poly1)
-        total += barycenter1(w, inst.domain)
-    return total - Fraction(1, 2)
+    return instance_barycenter(first)[0] + instance_barycenter(second)[0] - Fraction(1, 2)
 
 
 def coupled_default_endpoints(k: int) -> tuple[Divisor, Divisor]:

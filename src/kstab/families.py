@@ -121,6 +121,8 @@ class FamilyInstance:
 
 def check_params(tag: FamilyTag, n: int, p: int | None = None) -> None:
     """Raise InvalidParameterError unless (n, p) names a member of the family."""
+    if not tag.takes_p and p is not None:
+        raise InvalidParameterError(f"{tag.value} takes no p, got p={p}")
     if tag.takes_p and p not in tag.p_values(n):
         margin = FAMILY_DATA[tag].p_margin
         raise InvalidParameterError(
@@ -164,6 +166,7 @@ def resolve(
 
     ``divisor=None`` means the anticanonical class; blqq accepts no other.
     """
+    check_params(tag, n, p)
     if tag is FamilyTag.BLQQ:
         inst = blqq_resolve(n, p)
         if divisor is not None and _as_divisor(divisor, 2, "blqq") != inst.divisor:

@@ -435,18 +435,10 @@ class FactoredWeight:
 
     def expand(self) -> Union[Poly1, Poly2]:
         """Multiply everything out; equals the product of factor evaluations everywhere."""
-        if self.nvars == 1:
-            acc1 = Poly1.constant(self.prefactor)
-            for form, mult in self.factors:
-                base = form.as_poly()
-                assert isinstance(base, Poly1)
-                acc1 = acc1 * base ** mult
-            return acc1
-        acc2 = Poly2.constant(self.prefactor)
+        acc = AffineForm(self.prefactor, (Fraction(0),) * self.nvars).as_poly()
         for form, mult in self.factors:
-            table = affine_power_table(form.constant, form.linear[0], form.linear[1], mult)
-            acc2 = acc2 * Poly2.from_dict(table[mult])
-        return acc2
+            acc = acc * form.as_poly() ** mult
+        return acc
 
     def factor_minima(self, points: Iterable[Sequence[RationalLike]]) -> tuple[Fraction, ...]:
         """Minimum of each affine factor over a finite point set.

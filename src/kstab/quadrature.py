@@ -1,10 +1,15 @@
 """Exact integration of polynomials over segments, triangles, and polygons.
 
-The polygon route is uniform: fan-triangulate, affinely map each triangle
-to the standard 2-simplex, push the integrand through the map, and finish
-with the classical simplex moment formula
+Segments and triangles are simplices, and one vertex formula integrates a
+polynomial over either (Baldoni, Berline, De Loera, Köppe and Vergne, "How to
+integrate a polynomial over a simplex", Math. Comp. 80 (2011)).  Over a
+d-simplex with vertices v_0..v_d,
 
-    integral over {s, t >= 0, s + t <= 1} of s^a t^b  =  a! b! / (a+b+2)!
+    integral of x^i y^j  =  d! vol * i! j! / (i+j+d)! * h_ij,
+
+where h_ij is the coefficient of s^i t^j in the product over the vertices
+of 1 / (1 - x_v s - y_v t).  Only the vertex coordinates enter: there is no
+change of variables.  Polygons are fan-triangulated.
 
 Everything is a pure function of exact rationals; nothing here rounds.
 """
@@ -14,24 +19,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from typing import Sequence
 
 from .errors import ContractError, InvalidParameterError, ZeroMassError
-from .poly import Poly1, Poly2, affine_power_table
-from .polytope import Polygon, Segment, Triangle, triangulate
+from .poly import Poly1, Poly2
+from .polytope import Point, Polygon, Segment, Triangle, triangulate
+
+
+def _integrate_simplex(
+    terms: Sequence[tuple[int, int, Fraction]], vertices: Sequence[Point], scale: Fraction
+) -> Fraction:
+    """Integral of the sum of c x^i y^j, (i, j, c) in ``terms``, over the
+    simplex with these vertices; ``scale`` is d! times its volume.
+
+    h is built in integers over the vertices' common denominator, one vertex
+    at a time: dividing by 1 - x s - y t is h[i][j] += x h[i-1][j] + y h[i][j-1].
+    """
+    if not terms:
+        return Fraction(0)
+    d = len(vertices) - 1
+    den = lcm(*(c.denominator for v in vertices for c in v))
+    top = max(i + j for i, j, _ in terms)
+    dy = max(j for _, j, _ in terms)
+    h = [[0] * (min(dy, top - i) + 1) for i in range(max(i for i, _, _ in terms) + 1)]
+    h[0][0] = 1
+    for vx, vy in vertices:
+        x, y = int(vx * den), int(vy * den)
+        for i, row in enumerate(h):
+            prev = h[i - 1] if i else [0] * len(row)
+            row[0] += x * prev[0]
+            for j in range(1, len(row)):
+                row[j] += x * prev[j] + y * row[j - 1]
+    total = Fraction(0)
+    for i, j, c in terms:
+        total += c * Fraction(
+            factorial(i) * factorial(j) * h[i][j], factorial(i + j + d) * den ** (i + j)
+        )
+    return scale * total
 
 
 def integrate_poly1(f: Poly1, segment: Segment) -> Fraction:
-    """Termwise power-rule integral of f over [lo, hi]."""
+    """Integral of f over [lo, hi]: the vertex formula with d = 1."""
     lo, hi = segment.lo, segment.hi
-    total = Fraction(0)
-    lo_pow, hi_pow = lo, hi
-    for i, c in enumerate(f.coeffs):
-        if c != 0:
-            total += c * (hi_pow - lo_pow) / (i + 1)
-        lo_pow *= lo
-        hi_pow *= hi
-    return total
+    terms = [(i, 0, c) for i, c in enumerate(f.coeffs) if c]
+    return _integrate_simplex(terms, ((lo, Fraction(0)), (hi, Fraction(0))), hi - lo)
 
 
 @lru_cache(maxsize=None)
@@ -43,31 +75,11 @@ def integrate_monomial_simplex(a: int, b: int) -> Fraction:
 
 
 def integrate_poly2_triangle(f: Poly2, triangle: Triangle) -> Fraction:
-    """Integral of f over a triangle via the simplex moment formula.
-
-    The triangle is the image of the standard simplex under
-    (s, t) -> v0 + s*(v1 - v0) + t*(v2 - v0); composing f with that map and
-    integrating termwise picks up the absolute Jacobian determinant.
-    """
-    if f.is_zero:
-        return Fraction(0)
-    (x0, y0), (x1, y1), (x2, y2) = triangle.vertices
-    u1, u2 = x1 - x0, x2 - x0
-    w1, w2 = y1 - y0, y2 - y0
-    det = u1 * w2 - u2 * w1
-    if det == 0:
+    """Integral of f over a triangle: the vertex formula with d = 2."""
+    scale = abs(triangle.doubled_signed_area)
+    if scale == 0:
         raise ContractError("degenerate triangle reached integration")
-    dx, dy = f.max_degrees()
-    x_powers = affine_power_table(x0, u1, u2, dx)
-    y_powers = affine_power_table(y0, w1, w2, dy)
-    total = Fraction(0)
-    for i, j, coeff in f.terms:
-        term = Fraction(0)
-        for (a1, b1), c1 in x_powers[i].items():
-            for (a2, b2), c2 in y_powers[j].items():
-                term += c1 * c2 * integrate_monomial_simplex(a1 + a2, b1 + b2)
-        total += coeff * term
-    return abs(det) * total
+    return _integrate_simplex(f.terms, triangle.vertices, scale)
 
 
 def integrate_poly2_polygon(f: Poly2, polygon: Polygon) -> Fraction:

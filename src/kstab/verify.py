@@ -57,8 +57,8 @@ def check_closed_forms(max_n: int) -> list[CheckResult]:
 
     failures = []
     count = 0
-    for n in range(4, max_n + 1):
-        for p in range(2, n - 1):
+    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
+        for p in FamilyTag.BLPP.p_values(n):
             count += 1
             exact, closed = criteria.blpp_moment(n, p), criteria.blpp_moment_closed(n, p)
             if exact != closed:
@@ -93,7 +93,7 @@ def check_closed_forms(max_n: int) -> list[CheckResult]:
 
     failures = []
     count = 0
-    for n in range(5, max_n + 1):
+    for n in range(FamilyTag.QUAD_E.min_n, max_n + 1):
         count += 1
         exact, closed = criteria.quad_e_x_barycenter(n), criteria.quad_e_x_barycenter_closed(n)
         if exact != closed:
@@ -110,8 +110,8 @@ def check_closed_forms(max_n: int) -> list[CheckResult]:
 def check_blpp_classification(max_n: int) -> list[CheckResult]:
     failures = []
     count = 0
-    for n in range(4, max_n + 1):
-        for p in range(2, n - 1):
+    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
+        for p in FamilyTag.BLPP.p_values(n):
             count += 1
             verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p))
             expect_ke = (n % 2 == 0 and 2 * p == n)
@@ -135,8 +135,8 @@ def check_quadric_blowups(max_n: int) -> list[CheckResult]:
 
     failures = []
     count = 0
-    for n in range(7, max_n + 1):
-        for p in range(4, n - 2):
+    for n in range(FamilyTag.BLQQ.min_n, max_n + 1):
+        for p in [p for p in FamilyTag.BLQQ.p_values(n) if p >= 4]:
             count += 1
             verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLQQ, n, p))
             if verdict.status is not KEStatus.NOT_K_SEMISTABLE:
@@ -146,7 +146,7 @@ def check_quadric_blowups(max_n: int) -> list[CheckResult]:
 
     failures = []
     count = 0
-    for n in range(6, max_n + 1):
+    for n in range(FamilyTag.BLQQ.min_n, max_n + 1):
         count += 1
         verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLQQ, n, 3))
         if verdict.status is not KEStatus.KAHLER_EINSTEIN:
@@ -156,7 +156,7 @@ def check_quadric_blowups(max_n: int) -> list[CheckResult]:
     for tag, label in ((FamilyTag.QUAD_E, "quade"), (FamilyTag.QUAD_PM, "quadpm")):
         failures = []
         count = 0
-        for n in range(5, max_n + 1):
+        for n in range(tag.min_n, max_n + 1):
             count += 1
             verdict = criteria.ke_classify(resolve_anticanonical(tag, n))
             if verdict.xi[1] != 0:
@@ -178,7 +178,7 @@ def check_quadric_blowups(max_n: int) -> list[CheckResult]:
 def check_quadpt_mabuchi(max_n: int) -> list[CheckResult]:
     failures = []
     count = 0
-    for n in range(5, max_n + 1):
+    for n in range(FamilyTag.QUAD_PT.min_n, max_n + 1):
         count += 1
         verdict = criteria.mabuchi_quadpt(n)
         if verdict.status is not MabuchiStatus.NOT_EXISTS:
@@ -250,8 +250,8 @@ def check_coupled(max_n: int) -> list[CheckResult]:
 def check_multiplier_certificates(max_n: int) -> list[CheckResult]:
     failures = []
     count = 0
-    for n in range(4, max_n + 1):
-        for p in range(2, n - 1):
+    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
+        for p in FamilyTag.BLPP.p_values(n):
             count += 1
             try:
                 cert = criteria.mh_certificate(n, p)
@@ -366,8 +366,8 @@ def check_quadrature_properties(max_n: int, cases: int = 200, seed: int = 202402
 
     failures = []
     count = 0
-    for n in range(4, max_n + 1):
-        for p in range(2, n - 1):
+    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
+        for p in FamilyTag.BLPP.p_values(n):
             count += 1
             xi = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p)).xi[0]
             xi_mirror = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, n - p)).xi[0]

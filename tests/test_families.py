@@ -15,6 +15,7 @@ from kstab.families import (
     instance_record,
     quad_anticanonical,
     quad_resolve,
+    resolve,
     resolve_anticanonical,
 )
 from kstab.poly import Poly1, Poly2
@@ -136,6 +137,13 @@ class TestQuadResolve:
     def test_small_dimension_rejected(self):
         with pytest.raises(InvalidParameterError):
             quad_resolve(FamilyTag.QUAD_E, 4, (1, 1))
+
+    def test_p_rejected_for_family_without_p(self):
+        # on the anticanonical path and on the explicit-divisor path
+        with pytest.raises(InvalidParameterError):
+            resolve_anticanonical(FamilyTag.QUAD_E, 6, 3)
+        with pytest.raises(InvalidParameterError):
+            resolve(FamilyTag.QUAD_PT, 6, 2, (2, 1))
 
 
 class TestDoublingConsistency:

@@ -3,7 +3,9 @@
 The traced benchmark run rebinds the kstab entry points that
 ``spans.kstab_targets()`` lists, and the output oracles call closed forms
 in ``kstab.criteria``.  A renamed or removed entry point makes those runs
-raise ``AttributeError``; these checks catch it without running them.  They
+raise ``AttributeError``, and an entry point whose argument or result no
+longer fits its counting callback makes the traced run raise; these checks
+catch both, the second with a traced run of a few tiny invocations.  They
 read ``perfbench/`` and change nothing in it.
 """
 
@@ -12,7 +14,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from kstab import criteria
+from kstab import cli, criteria
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +43,30 @@ def test_every_criteria_name_the_oracles_call_exists():
               and isinstance(node.value, ast.Name) and node.value.id == "criteria"}
     assert called
     assert sorted(name for name in called if not hasattr(criteria, name)) == []
+
+
+TINY_RUNS = (
+    ["ke", "--family", "blpp", "--n", "4..5", "--p", "all"],
+    ["ke", "--family", "quadpm", "--n", "5"],
+    ["mabuchi", "--family", "quadpt", "--n", "5"],
+    ["mh", "--n", "4"],
+    ["coupled", "--k", "3", "--bisections", "2"],
+)
+
+
+def test_traced_tiny_runs_count_every_layer(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install(spans.kstab_targets())
+    try:
+        codes = [cli.main(argv + ["--format", "json", "--out", str(tmp_path / "out.json"),
+                                  "--jobs", "1"])
+                 for argv in TINY_RUNS]
+    finally:
+        tracer.restore()
+    assert codes == [0] * len(TINY_RUNS)
+    assert tracer.accounting_errors("cli.main") == []
+    for key in ("poly.expand.terms_out", "quadrature.integrand_terms", "polytope.triangles",
+                "cli.render.bytes"):
+        assert tracer.counts[key] > 0, key
+    assert tracer.maxima["quadrature.result_bits.max"] > 0

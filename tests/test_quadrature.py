@@ -112,6 +112,14 @@ class TestIntegratePoly1:
     def test_degenerate_segment(self):
         assert integrate_poly1(Poly1.from_coeffs([1, 2, 3]), Segment.of(2, 2)) == 0
 
+    def test_high_degree_on_negative_rational_segment(self):
+        rng = random.Random(11)
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(33)]
+        lo, hi = F(-7, 3), F(5, 4)
+        assert integrate_poly1(Poly1.from_coeffs(coeffs), Segment.of(lo, hi)) == _integ_coeffs(
+            coeffs, lo, hi
+        )
+
 
 # ---------------------------------------------------------------------------
 # Simplex and triangle integration
@@ -150,17 +158,27 @@ class TestTriangleIntegration:
         assert integrate_poly2_triangle(f, tri) == F(1, 28)
 
     def test_matches_compose_route(self):
-        # the production shortcut must agree with literal substitution plus
-        # termwise simplex moments
-        tri = Triangle.of((F(1, 2), -1), (3, F(1, 3)), (1, 2))
-        f = Poly2.from_terms([(2, 1, F(3, 4)), (0, 3, -2), (1, 0, 5)])
-        (x0, y0), (x1, y1), (x2, y2) = tri.vertices
-        composed = f.compose_affine((x0, x1 - x0, x2 - x0), (y0, y1 - y0, y2 - y0))
-        jac = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-        by_compose = jac * sum(
-            (c * integrate_monomial_simplex(i, j) for i, j, c in composed.terms), F(0)
+        # the vertex formula must agree with the change of variables onto the
+        # standard simplex plus termwise simplex moments, also at high degree
+        # on vertices whose coordinates have coprime denominators
+        rng = random.Random(5)
+        high = Poly2.from_terms(
+            [(i, 30 - i, F(rng.randint(-9, 9), rng.randint(1, 9))) for i in range(0, 31, 3)]
+            + [(7, 2, F(-5, 2)), (0, 0, 1)]
         )
-        assert integrate_poly2_triangle(f, tri) == by_compose
+        cases = [
+            (Triangle.of((F(1, 2), -1), (3, F(1, 3)), (1, 2)),
+             Poly2.from_terms([(2, 1, F(3, 4)), (0, 3, -2), (1, 0, 5)])),
+            (Triangle.of((F(1, 3), F(-2, 7)), (F(9, 10), F(1, 3)), (F(-3, 7), F(7, 10))), high),
+        ]
+        for tri, f in cases:
+            (x0, y0), (x1, y1), (x2, y2) = tri.vertices
+            composed = f.compose_affine((x0, x1 - x0, x2 - x0), (y0, y1 - y0, y2 - y0))
+            jac = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+            by_compose = jac * sum(
+                (c * integrate_monomial_simplex(i, j) for i, j, c in composed.terms), F(0)
+            )
+            assert integrate_poly2_triangle(f, tri) == by_compose
 
     def test_orientation_irrelevant(self):
         f = Poly2.from_terms([(1, 1, 1), (0, 0, F(1, 3))])
