@@ -20,8 +20,7 @@ from .criteria import (
     coupled_residual,
     coupled_search,
     ke_classify,
-    mabuchi_blpp,
-    mabuchi_quadpt,
+    mabuchi,
     mh_certificate,
 )
 from .errors import KstabError
@@ -97,8 +96,7 @@ __all__ = [
     "integrate_poly2_polygon",
     "integrate_poly2_triangle",
     "ke_classify",
-    "mabuchi_blpp",
-    "mabuchi_quadpt",
+    "mabuchi",
     "mh_certificate",
     "moments",
     "polygon_from_halfplanes",

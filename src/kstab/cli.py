@@ -104,8 +104,6 @@ def _build_parser() -> _Parser:
     ke.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     ke.add_argument("--n", required=True, help="integer or inclusive range lo..hi")
     ke.add_argument("--p", default=None, help="integer, range, or 'all'")
-    ke.add_argument("--divisor", default=None,
-                    help="comma-separated rational coefficients (default: anticanonical)")
     add_common(ke)
 
     mab = sub.add_parser("mabuchi", help="Mabuchi-metric existence tests")
@@ -119,6 +117,7 @@ def _build_parser() -> _Parser:
     coup.add_argument("--bisections", type=int, default=40)
     coup.add_argument("--start", default=None, help="segment start divisor (default: built-in)")
     coup.add_argument("--end", default=None, help="segment end divisor (default: built-in)")
+    coup.set_defaults(family="blpp")
     add_common(coup)
 
     mh = sub.add_parser("mh", help="multiplier-Hermitian certificates")
@@ -136,7 +135,8 @@ def _build_parser() -> _Parser:
     dump.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     dump.add_argument("--n", required=True, type=int)
     dump.add_argument("--p", default=None, type=int)
-    dump.add_argument("--divisor", default=None)
+    dump.add_argument("--divisor", default=None,
+                      help="comma-separated rational coefficients (default: anticanonical)")
     add_common(dump)
     return parser
 
@@ -224,85 +224,96 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
 # ---------------------------------------------------------------------------
 
 
-def _tasks_for(spec: RunSpec) -> list[tuple]:
+@dataclass(frozen=True)
+class Task:
+    """One report row to compute, picklable for the worker pool: a member
+    (n, p) of the family, or a coupled search at k (n and p are None)."""
+
+    command: str
+    family: FamilyTag
+    n: int | None
+    p: int | None
+    k: int | None
+    bisections: int
+    start: tuple[Fraction, ...] | None
+    end: tuple[Fraction, ...] | None
+
+    @property
+    def params(self) -> dict:
+        """The parameter columns of the task's row."""
+        if self.command == "coupled":
+            return {"k": self.k}
+        return {"n": self.n} if self.p is None else {"n": self.n, "p": self.p}
+
+
+def _tasks_for(spec: RunSpec) -> list[Task]:
+    tag = spec.family
     if spec.command == "coupled":
         if all(k < 2 for k in spec.k_values):
             raise SpecError("field --k: must reach at least 2")
-        return [(spec.command, "blpp", k, spec.bisections, spec.start, spec.end)
-                for k in spec.k_values]
-    tag = spec.family
-    if all(n < tag.min_n for n in spec.n_values):
-        raise SpecError(f"field --n: every requested n is below the family minimum {tag.min_n}")
-    if not spec.p_all and not any(p in tag.p_values(n) for n in spec.n_values for p in spec.p_values):
-        raise SpecError("field --p: out of range for every requested n")
-    return [(spec.command, tag.cli_name, n, p, spec.divisor)
-            for n in spec.n_values
-            for p in (tag.p_values(n) if spec.p_all else spec.p_values)]
+        members = [(None, None, k) for k in spec.k_values]
+    else:
+        if all(n < tag.min_n for n in spec.n_values):
+            raise SpecError(f"field --n: every requested n is below the family minimum {tag.min_n}")
+        if not spec.p_all and not any(p in tag.p_values(n) for n in spec.n_values for p in spec.p_values):
+            raise SpecError("field --p: out of range for every requested n")
+        members = [(n, p, None)
+                   for n in spec.n_values
+                   for p in (tag.p_values(n) if spec.p_all else spec.p_values)]
+    return [Task(spec.command, tag, n, p, k, spec.bisections, spec.start, spec.end)
+            for n, p, k in members]
 
 
-def _run_task(task: tuple) -> dict:
+def _run_task(task: Task) -> dict:
     started = time.perf_counter()
-    command = task[0]
+    row = {"family": task.family.cli_name, "params": task.params}
     try:
-        if command == "ke":
-            row = _ke_row(*task[1:])
-        elif command == "mabuchi":
-            row = _mabuchi_row(*task[1:])
-        elif command == "mh":
-            row = _mh_row(*task[1:])
+        if task.command == "ke":
+            row["verdict"], row["witness"] = _ke_result(task)
+        elif task.command == "mabuchi":
+            row["verdict"], row["witness"] = _mabuchi_result(task)
+        elif task.command == "mh":
+            row["verdict"], row["witness"] = _mh_result(task)
         else:
-            row = _coupled_row(*task[1:])
+            row["verdict"], row["witness"] = _coupled_result(task)
     except NoBracketError as exc:
-        row = {"family": task[1], "params": _task_params(task), "verdict": "no-bracket",
-               "witness": {}, "note": str(exc)}
+        row.update(verdict="no-bracket", witness={}, note=str(exc))
     except KstabError as exc:
-        row = {"family": task[1], "params": _task_params(task),
-               "verdict": f"error:{exc.code}", "witness": {}, "note": str(exc)}
+        row.update(verdict=f"error:{exc.code}", witness={}, note=str(exc))
     row["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     return row
 
 
-def _task_params(task: tuple) -> dict:
-    if task[0] == "coupled":
-        return {"k": task[2]}
-    return _named_params(task[2], task[3])
-
-
-def _ke_row(family: str, n: int, p: int | None, divisor) -> dict:
-    verdict = criteria.ke_classify(resolve(_FAMILIES[family], n, p, divisor))
+def _ke_result(task: Task) -> tuple[str, dict]:
+    verdict = criteria.ke_classify(resolve(task.family, task.n, task.p))
     axes = "t" if len(verdict.xi) == 1 else "xy"
     witness = {"mass": verdict.mass}
     witness.update((f"bary_{a}", b) for a, b in zip(axes, verdict.barycenter))
     witness.update((f"xi_{a}", x) for a, x in zip(axes, verdict.xi))
-    return {"family": family, "params": _named_params(n, p),
-            "verdict": verdict.status.value, "witness": witness}
+    return verdict.status.value, witness
 
 
-def _mabuchi_row(family: str, n: int, p: int | None, divisor) -> dict:
-    if family == "blpp":
-        verdict = criteria.mabuchi_blpp(n, p)
-    else:
-        verdict = criteria.mabuchi_quadpt(n)
+def _mabuchi_result(task: Task) -> tuple[str, dict]:
+    verdict = criteria.mabuchi(resolve(task.family, task.n, task.p))
     witness = dict(verdict.detail)
     if verdict.ratio is not None:
         witness["ratio"] = verdict.ratio
-    return {"family": family, "params": _named_params(n, p),
-            "verdict": verdict.status.value, "witness": witness}
+    return verdict.status.value, witness
 
 
-def _mh_row(family: str, n: int, p: int, divisor) -> dict:
-    cert = criteria.mh_certificate(n, p)
+def _mh_result(task: Task) -> tuple[str, dict]:
+    cert = criteria.mh_certificate(task.n, task.p)
     witness = {"moment_integral": cert.moment_integral}
     for idx, minimum in enumerate(cert.concavity_witness):
         witness[f"factor_min_{idx}"] = minimum
-    return {"family": family, "params": _named_params(n, p),
-            "verdict": "certificate", "witness": witness}
+    return "certificate", witness
 
 
-def _coupled_row(family: str, k: int, bisections: int, start, end) -> dict:
-    default_start, default_end = criteria.coupled_default_endpoints(k)
+def _coupled_result(task: Task) -> tuple[str, dict]:
+    default_start, default_end = criteria.coupled_default_endpoints(task.k)
     cert = criteria.coupled_search(
-        k, start or default_start, end or default_end, max_bisections=bisections
+        task.k, task.start or default_start, task.end or default_end,
+        max_bisections=task.bisections,
     )
     witness: dict = {}
     for label, params in (("lo", cert.params_lo), ("hi", cert.params_hi), ("mid", cert.midpoint)):
@@ -312,20 +323,17 @@ def _coupled_row(family: str, k: int, bisections: int, start, end) -> dict:
     witness["residual_hi"] = cert.residual_hi
     witness["residual_mid"] = cert.residual_at_midpoint
     witness["width"] = cert.width
-    return {"family": "blpp", "params": {"k": k}, "verdict": "certificate", "witness": witness}
+    return "certificate", witness
 
 
-def _named_params(n: int, p: int | None) -> dict:
-    return {"n": n} if p is None else {"n": n, "p": p}
-
-
-def _execute_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
+def _execute_tasks(tasks: list[Task], jobs: int) -> list[dict]:
     if jobs > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(_run_task, tasks))
-        except OSError:
-            pass  # no usable worker pool in this environment; fall back
+        except OSError as exc:
+            print(f"kstab: worker pool unavailable ({type(exc).__name__}: {exc}); running serially",
+                  file=sys.stderr)
     return [_run_task(task) for task in tasks]
 
 

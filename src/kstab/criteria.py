@@ -2,7 +2,8 @@
 cross-checks for every integral they rely on.
 
 All verdicts are decided on exact rationals and carry their witnesses, so a
-report line can be re-verified independently of this code.
+report line can be re-verified independently of this code.  Every weight
+integral goes through ``_weighted_integrals``, which expands the weight once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .families import (
 )
 from .poly import AffineForm, FactoredWeight, Poly1, Poly2, RationalLike, _as_fraction, binomial
 from .polytope import Segment
-from .quadrature import integrate_poly1, integrate_poly2_polygon, moments, moments1
+from .quadrature import integrate_poly1, integrate_poly2_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +78,28 @@ def classify_offset(xi: Sequence[Fraction], strict_axes: Sequence[int]) -> KESta
     return KEStatus.BOUNDARY
 
 
+def _weighted_integrals(
+    inst: FamilyInstance, polys: Sequence[int | Poly1 | Poly2]
+) -> list[Fraction]:
+    """Integral over the instance domain of the instance weight times each
+    polynomial in ``polys``; the weight is expanded once."""
+    weight = inst.weight.expand()
+    if isinstance(inst.domain, Segment):
+        return [integrate_poly1(weight * f, inst.domain) for f in polys]
+    return [integrate_poly2_polygon(weight * f, inst.domain) for f in polys]
+
+
+def _offsets(origin: Sequence[Fraction]) -> list[int | Poly1 | Poly2]:
+    """1, then x_a - origin[a] for each axis a, as polynomials in len(origin) variables."""
+    dim = len(origin)
+    axes = [[int(i == a) for i in range(dim)] for a in range(dim)]
+    return [1] + [AffineForm.of(-o, *unit).as_poly() for o, unit in zip(origin, axes)]
+
+
 def instance_moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Weight mass and barycenter (a 1- or 2-vector) of an instance domain;
     requires nonzero mass."""
-    expanded = inst.weight.expand()
-    if isinstance(inst.domain, Segment):
-        mass, first = moments1(expanded, inst.domain)
-        firsts: tuple[Fraction, ...] = (first,)
-    else:
-        m = moments(expanded, inst.domain)
-        mass, firsts = m.mass, (m.mx, m.my)
+    mass, *firsts = _weighted_integrals(inst, _offsets((Fraction(0),) * len(inst.target)))
     if mass == 0:
         raise ZeroMassError("weight has zero mass on the instance domain")
     return mass, tuple(f / mass for f in firsts)
@@ -103,14 +116,19 @@ def _moment_about_target(inst: FamilyInstance, axis: int) -> Fraction:
     return mass * (bary[axis] - inst.target[axis])
 
 
-def ke_classify(inst: FamilyInstance) -> KEVerdict:
-    """Kähler-Einstein / K-semistability verdict for an anticanonical instance."""
+def _check_anticanonical(inst: FamilyInstance) -> None:
+    """The criteria hold for the anticanonical class of a member only."""
     if not inst.ample:
         raise NotAmpleError(f"{inst.tag.cli_name}{inst.dims}: divisor is not ample")
     if inst.divisor != anticanonical_divisor(inst.tag, *inst.dims):
         raise NotAnticanonicalError(
-            f"{inst.tag.cli_name}{inst.dims}: classification needs the anticanonical divisor"
+            f"{inst.tag.cli_name}{inst.dims}: the criteria need the anticanonical divisor"
         )
+
+
+def ke_classify(inst: FamilyInstance) -> KEVerdict:
+    """Kähler-Einstein / K-semistability verdict for an anticanonical instance."""
+    _check_anticanonical(inst)
     mass, bary = instance_moments(inst)
     xi = tuple(b - t for b, t in zip(bary, inst.target))
     return KEVerdict(classify_offset(xi, inst.strict_axes), xi, mass, bary)
@@ -216,18 +234,12 @@ def quad_e_x_barycenter_closed(n: int) -> Fraction:
     return Fraction(2 * (n - 3) ** 2 * (n - 2), (n - 1) * (2 * n - 5))
 
 
-def _quad_pt_y_moments(n: int) -> tuple[Fraction, Fraction]:
-    """First and second y-moments of the anticanonical quadpt weight."""
-    inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
-    wy = inst.weight.expand() * Poly2.variable(1)
-    first = integrate_poly2_polygon(wy, inst.domain)
-    return first, integrate_poly2_polygon(wy * Poly2.variable(1), inst.domain)
-
-
 def quad_pt_margin(n: int) -> Fraction:
     """Exact decision quantity of the quadpt test: second y-moment minus
     (n-2) times the first, integrated against the weight."""
-    first, second = _quad_pt_y_moments(n)
+    inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
+    _, _, y = _offsets(inst.target)
+    first, second = _weighted_integrals(inst, [y, y * y])
     return second - (n - 2) * first
 
 
@@ -242,7 +254,7 @@ def quad_pt_margin_closed(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Mabuchi tests
+# Mabuchi test
 # ---------------------------------------------------------------------------
 
 
@@ -259,57 +271,34 @@ class MabuchiVerdict:
     detail: tuple[tuple[str, Fraction], ...]
 
 
-def blpp_centered_weight(n: int, p: int) -> Poly1:
-    """Anticanonical blpp weight recentered so the moment segment is [-1, 1].
+def mabuchi(inst: FamilyInstance) -> MabuchiVerdict:
+    """Mabuchi-metric test along the one center (non-strict) axis a.
 
-    Obtained from the resolved instance by the affine substitution
-    t -> x + target, the same change of variable that symmetrizes the
-    moment integral.
+    With u = x_a - target_a, no Mabuchi metric exists iff the ratio of the
+    second to the first u-moment of the weight lies in the domain's extent
+    along a, measured from the target ([-1, 1] for blpp, [-1, n-2] for
+    quadpt).  Otherwise one exists if there are no strict axes; with strict
+    axes this one condition does not decide, and the verdict is
+    inconclusive.  A zero first moment gives no ratio and that same verdict.
     """
-    inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
-    w = inst.weight.expand()
-    assert isinstance(w, Poly1)
-    return w.compose_affine(1, inst.target[0])
-
-
-def mabuchi_blpp(n: int, p: int) -> MabuchiVerdict:
-    """Mabuchi-metric test for the blpp family.
-
-    With the recentered weight w on [-1, 1], compare the second and first
-    moments: no Mabuchi metric exists iff their ratio lies in the closed
-    interval [-1, 1].  A vanishing first moment is the Kähler-Einstein
-    case, where the trivial datum already gives a Mabuchi metric.
-    """
-    w = blpp_centered_weight(n, p)
-    box = Segment.of(-1, 1)
-    first = integrate_poly1(w * Poly1.variable(), box)
-    second = integrate_poly1(w * Poly1.variable() * Poly1.variable(), box)
+    _check_anticanonical(inst)
+    center = [a for a in range(len(inst.target)) if a not in inst.strict_axes]
+    if len(center) != 1:
+        raise InvalidParameterError(
+            f"{inst.tag.cli_name}{inst.dims}: the Mabuchi test needs exactly one center axis"
+        )
+    (axis,) = center
+    u = _offsets(inst.target)[1 + axis]
+    first, second = _weighted_integrals(inst, [u, u * u])
     detail = (("first_moment", first), ("second_moment", second))
+    outside = MabuchiStatus.INCONCLUSIVE if inst.strict_axes else MabuchiStatus.EXISTS
     if first == 0:
-        return MabuchiVerdict(MabuchiStatus.EXISTS, None, detail)
+        return MabuchiVerdict(outside, None, detail)
     ratio = second / first
-    if -1 <= ratio <= 1:
+    ends = [v[axis] - inst.target[axis] for v in inst.domain.vertices]
+    if min(ends) <= ratio <= max(ends):
         return MabuchiVerdict(MabuchiStatus.NOT_EXISTS, ratio, detail)
-    return MabuchiVerdict(MabuchiStatus.EXISTS, ratio, detail)
-
-
-def mabuchi_quadpt(n: int) -> MabuchiVerdict:
-    """Mabuchi-metric test for the quadric blown up at a point.
-
-    In doubled coordinates the test compares the second and first y-moments
-    of the weight over the anticanonical domain; no Mabuchi metric exists
-    iff the ratio lies in [-1, n-2].  Outside that interval the single
-    moment condition checked here does not decide existence, so the verdict
-    is inconclusive.
-    """
-    first, second = _quad_pt_y_moments(n)
-    if first <= 0:
-        raise ContractError(f"quadpt first y-moment should be positive, got {first}")
-    ratio = second / first
-    detail = (("first_moment", first), ("second_moment", second))
-    if -1 <= ratio <= n - 2:
-        return MabuchiVerdict(MabuchiStatus.NOT_EXISTS, ratio, detail)
-    return MabuchiVerdict(MabuchiStatus.INCONCLUSIVE, ratio, detail)
+    return MabuchiVerdict(outside, ratio, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +310,10 @@ def mabuchi_quadpt(n: int) -> MabuchiVerdict:
 class MHCertificate:
     """Witness that a concave log-polynomial multiplier exists.
 
-    ``weight_of_h`` is the reflected weight whose logarithm is the concave
-    function; its affine factors are strictly positive on [-1, 1] (minima
-    recorded in ``concavity_witness``), and the twisted first moment
-    vanishes exactly.
+    ``weight_of_h`` is the reflected weight, in u = t - target, whose
+    logarithm is the concave function; its affine factors are strictly
+    positive on [-1, 1] (minima recorded in ``concavity_witness``), and the
+    twisted first moment vanishes exactly.
     """
 
     weight_of_h: FactoredWeight
@@ -335,29 +324,26 @@ class MHCertificate:
 def mh_certificate(n: int, p: int) -> MHCertificate:
     """Produce the reflection certificate for the blpp family.
 
-    The recentered weight w on [-1, 1] has strictly positive affine
-    factors; taking the multiplier to be w(-t) makes t * w(-t) * w(t) odd,
-    so the twisted moment vanishes identically and the logarithm of w(-t)
-    is smooth and concave (a sum of logarithms of positive affine forms).
+    In u = t - target the weight w(u) = (p - u)^(p-1) (q + u)^(q-1) has
+    strictly positive affine factors on [-1, 1]; taking the multiplier to be
+    w(-u) makes u * w(-u) * w(u) odd, so the twisted moment vanishes
+    identically and the logarithm of w(-u) is smooth and concave (a sum of
+    logarithms of positive affine forms).  The moment is integrated in t:
+    each factor of w(-u) moves to t by shifting its constant by slope * target.
     """
-    check_params(FamilyTag.BLPP, n, p)
+    inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
+    (target,) = inst.target
     q = n - p
-    reflected = FactoredWeight.of(
-        1,
-        [
-            (AffineForm.of(p, 1), p - 1),
-            (AffineForm.of(q, -1), q - 1),
-        ],
-    )
-    box = Segment.of(-1, 1)
-    minima = reflected.factor_minima([(box.lo,), (box.hi,)])
+    reflected = FactoredWeight.of(1, [(AffineForm.of(p, 1), p - 1), (AffineForm.of(q, -1), q - 1)])
+    minima = reflected.factor_minima([(t - target,) for (t,) in inst.domain.vertices])
     if any(m <= 0 for m in minima):
         raise ContractError(f"multiplier factor not positive on [-1, 1] for n={n}, p={p}")
-    w = blpp_centered_weight(n, p)
-    reflected_poly = reflected.expand()
-    assert isinstance(reflected_poly, Poly1)
-    integrand = Poly1.variable() * reflected_poly * w
-    moment = integrate_poly1(integrand, box)
+    _, integrand = _offsets(inst.target)
+    for form, mult in reflected.factors:
+        (slope,) = form.linear
+        shifted = AffineForm.of(form.constant - slope * target, slope)
+        integrand = integrand * shifted.as_poly() ** mult
+    (moment,) = _weighted_integrals(inst, [integrand])
     if moment != 0:
         raise ContractError(f"multiplier moment must vanish, got {moment} for n={n}, p={p}")
     return MHCertificate(reflected, moment, minima)

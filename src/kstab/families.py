@@ -218,7 +218,7 @@ def blpp_resolve(n: int, p: int, divisor: Sequence[RationalLike]) -> FamilyInsta
             (AffineForm.of(c, 1), n - p - 1),
         ],
     )
-    _check_weight_positive(weight, [(segment.lo,), (segment.hi,)])
+    _check_weight_positive(weight, segment.vertices)
     ample = blpp_ample((c, d_plus, d_minus))
     return FamilyInstance(
         tag=FamilyTag.BLPP,

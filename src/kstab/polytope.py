@@ -49,6 +49,10 @@ class Segment:
         return Segment(lo_f, hi_f)
 
     @property
+    def vertices(self) -> tuple[tuple[Fraction], tuple[Fraction]]:
+        return ((self.lo,), (self.hi,))
+
+    @property
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 

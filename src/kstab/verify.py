@@ -180,9 +180,10 @@ def check_quadpt_mabuchi(max_n: int) -> list[CheckResult]:
     count = 0
     for n in range(FamilyTag.QUAD_PT.min_n, max_n + 1):
         count += 1
-        verdict = criteria.mabuchi_quadpt(n)
-        if verdict.status is not MabuchiStatus.NOT_EXISTS:
-            failures.append(f"n={n}: {verdict.status.value}")
+        verdict = criteria.mabuchi(resolve_anticanonical(FamilyTag.QUAD_PT, n))
+        first = dict(verdict.detail)["first_moment"]
+        if verdict.status is not MabuchiStatus.NOT_EXISTS or first <= 0:
+            failures.append(f"n={n}: {verdict.status.value}, first y-moment {first}")
         margin = criteria.quad_pt_margin(n)
         closed = criteria.quad_pt_margin_closed(n)
         if closed > 0:

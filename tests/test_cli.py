@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, worker pool."""
 
 import json
+import pickle
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -35,9 +36,14 @@ class TestKeCommand:
         assert row["witness_decimal"]["xi_x"] == "0.2"
 
     def test_error_rows_keep_table_rectangular(self):
-        payload = run_json(["ke", "--family", "blpp", "--n", "5..6", "--p", "2",
-                            "--divisor", "3,1,1", "--jobs", "1"])
-        assert [r["verdict"] for r in payload["rows"]] == ["error:not-anticanonical"] * 2
+        # p = 4 fits only n = 6 of 4..6
+        args = ["ke", "--family", "blpp", "--n", "4..6", "--p", "4", "--jobs", "1"]
+        payload = run_json(args)
+        assert [r["verdict"] for r in payload["rows"]] == (
+            ["error:invalid-parameter"] * 2 + ["not-k-semistable"])
+        lines = render_to_string(args + ["--format", "csv"]).splitlines()
+        assert len(lines) == 4
+        assert len({line.count(",") for line in lines}) == 1
 
     def test_row_order_is_parameter_order(self):
         payload = run_json(["ke", "--family", "blqq", "--n", "6..8", "--p", "all", "--jobs", "1"])
@@ -76,13 +82,17 @@ class TestExitCodes:
         assert main(["ke", "--family", "blpp"]) == 1
 
     def test_bad_rational_is_one(self, capsys):
-        assert main(["ke", "--family", "blpp", "--n", "5", "--p", "2",
+        assert main(["dump-instance", "--family", "blpp", "--n", "6", "--p", "2",
                      "--divisor", "2.5,1,1"]) == 1
         assert "--divisor" in capsys.readouterr().err
 
-    def test_contract_breach_rows_are_two(self, capsys):
-        code = main(["ke", "--family", "blpp", "--n", "5", "--p", "2",
-                     "--divisor", "3,1,1", "--jobs", "1"])
+    def test_ke_takes_no_divisor(self, capsys):
+        assert main(["ke", "--family", "blpp", "--n", "5", "--p", "2",
+                     "--divisor", "3,1,1", "--jobs", "1"]) == 1
+        assert "--divisor" in capsys.readouterr().err
+
+    def test_error_rows_are_two(self, capsys):
+        code = main(["ke", "--family", "blpp", "--n", "4..6", "--p", "4", "--jobs", "1"])
         capsys.readouterr()
         assert code == 2
 
@@ -98,15 +108,15 @@ class TestExitCodes:
 
     def test_partially_valid_sweep_emits_error_rows(self, capsys):
         # p = 9 only fits n >= 11; smaller n still get (error) rows
-        code = main(["ke", "--family", "blpp", "--n", "10..11", "--p", "9",
+        code = main(["ke", "--family", "blpp", "--n", "4..11", "--p", "9",
                      "--format", "csv", "--jobs", "1"])
         out = capsys.readouterr().out
         assert code == 2
         lines = out.splitlines()
-        assert len(lines) == 3
-        assert "error:invalid-parameter" in lines[1]
-        assert "kahler-einstein" not in lines[1]
-        assert lines[2].startswith("blpp,11,9,not-k-semistable")
+        assert len(lines) == 9
+        for n, line in zip(range(4, 11), lines[1:8]):
+            assert line.startswith(f"blpp,{n},9,error:invalid-parameter")
+        assert lines[8].startswith("blpp,11,9,not-k-semistable")
 
     def test_verify_failures_reported_not_thrown(self, capsys):
         # the suite contains a failing check, yet the run completes with 0
@@ -181,7 +191,38 @@ class TestSpecParsing:
 
     def test_divisor_rejected_for_blqq(self):
         with pytest.raises(cli.SpecError):
-            parse_spec(["ke", "--family", "blqq", "--n", "6", "--p", "3", "--divisor", "1,1"])
+            parse_spec(["dump-instance", "--family", "blqq", "--n", "6", "--p", "3",
+                        "--divisor", "1,1"])
+
+
+class TestTasks:
+    def test_tasks_are_picklable_records(self):
+        spec = parse_spec(["coupled", "--k", "3..4", "--bisections", "5", "--jobs", "1"])
+        tasks = cli._tasks_for(spec)
+        assert [t.params for t in tasks] == [{"k": 3}, {"k": 4}]
+        assert pickle.loads(pickle.dumps(tasks)) == tasks
+
+    def test_error_row_takes_params_from_the_task(self):
+        spec = parse_spec(["ke", "--family", "blpp", "--n", "5", "--p", "3..4", "--jobs", "1"])
+        rows = [cli._run_task(t) for t in cli._tasks_for(spec)]
+        assert [(r["family"], r["params"], r["verdict"]) for r in rows] == [
+            ("blpp", {"n": 5, "p": 3}, "not-k-semistable"),
+            ("blpp", {"n": 5, "p": 4}, "error:invalid-parameter"),
+        ]
+
+    def test_pool_failure_falls_back_visibly(self, monkeypatch, capsys):
+        args = ["ke", "--family", "blpp", "--n", "4..6", "--p", "all", "--format", "json"]
+        serial = render_to_string(args + ["--jobs", "1"])
+        capsys.readouterr()
+
+        def no_pool(*_args, **_kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert render_to_string(args + ["--jobs", "2"]) == serial
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "OSError: no semaphores" in err[0] and "serially" in err[0]
 
 
 class TestNegativeControl:

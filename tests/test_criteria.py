@@ -14,7 +14,9 @@ from kstab.errors import (
     NotAnticanonicalError,
 )
 from kstab.families import FamilyTag, blpp_resolve, resolve_anticanonical
-from kstab.quadrature import moments, moments1
+from kstab.poly import Poly1
+from kstab.polytope import Segment
+from kstab.quadrature import integrate_poly1, moments, moments1
 
 
 class TestClassifyOffset:
@@ -127,17 +129,21 @@ class TestMomentClosedForms:
             criteria.blqq_x_moment_closed(1, 5)
 
 
+def _mabuchi(tag, n, p=None):
+    return criteria.mabuchi(resolve_anticanonical(tag, n, p))
+
+
 class TestMabuchiBlpp:
     def test_balanced_is_trivially_exists(self):
-        verdict = criteria.mabuchi_blpp(10, 5)
+        verdict = _mabuchi(FamilyTag.BLPP, 10, 5)
         assert verdict.status is MabuchiStatus.EXISTS
         assert verdict.ratio is None
 
     def test_small_balanced(self):
-        assert criteria.mabuchi_blpp(4, 2).status is MabuchiStatus.EXISTS
+        assert _mabuchi(FamilyTag.BLPP, 4, 2).status is MabuchiStatus.EXISTS
 
     def test_unbalanced_example(self):
-        verdict = criteria.mabuchi_blpp(5, 2)
+        verdict = _mabuchi(FamilyTag.BLPP, 5, 2)
         detail = dict(verdict.detail)
         assert detail["first_moment"] == F(8, 5)
         assert detail["second_moment"] == F(52, 5)
@@ -147,18 +153,37 @@ class TestMabuchiBlpp:
     def test_second_moment_always_positive(self):
         for n in range(4, 13):
             for p in range(2, n - 1):
-                detail = dict(criteria.mabuchi_blpp(n, p).detail)
+                detail = dict(_mabuchi(FamilyTag.BLPP, n, p).detail)
                 assert detail["second_moment"] > 0
 
     def test_mirror_ratio_negates(self):
-        a = criteria.mabuchi_blpp(7, 2)
-        b = criteria.mabuchi_blpp(7, 5)
+        a = _mabuchi(FamilyTag.BLPP, 7, 2)
+        b = _mabuchi(FamilyTag.BLPP, 7, 5)
         assert a.ratio == -b.ratio
+
+    def test_matches_recentred_route(self):
+        # the weight recentred by t -> u + target, moments over [-1, 1]
+        box = Segment.of(-1, 1)
+        u = Poly1.variable()
+        for n in range(4, 13):
+            for p in FamilyTag.BLPP.p_values(n):
+                inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
+                w = inst.weight.expand().compose_affine(1, inst.target[0])
+                first, second = integrate_poly1(w * u, box), integrate_poly1(w * u * u, box)
+                ratio = None if first == 0 else second / first
+                if ratio is not None and -1 <= ratio <= 1:
+                    status = MabuchiStatus.NOT_EXISTS
+                else:
+                    status = MabuchiStatus.EXISTS
+                verdict = criteria.mabuchi(inst)
+                assert verdict.status is status, (n, p)
+                assert verdict.ratio == ratio, (n, p)
+                assert verdict.detail == (("first_moment", first), ("second_moment", second))
 
 
 class TestMabuchiQuadPt:
     def test_dimension_five(self):
-        verdict = criteria.mabuchi_quadpt(5)
+        verdict = _mabuchi(FamilyTag.QUAD_PT, 5)
         assert verdict.status is MabuchiStatus.NOT_EXISTS
         assert verdict.ratio == F(49, 20)
 
@@ -172,13 +197,33 @@ class TestMabuchiQuadPt:
 
     def test_ratio_stays_in_window(self):
         for n in range(5, 13):
-            verdict = criteria.mabuchi_quadpt(n)
+            verdict = _mabuchi(FamilyTag.QUAD_PT, n)
             assert verdict.status is MabuchiStatus.NOT_EXISTS
             assert -1 <= verdict.ratio <= n - 2
 
     def test_small_dimension_rejected(self):
         with pytest.raises(InvalidParameterError):
-            criteria.mabuchi_quadpt(4)
+            _mabuchi(FamilyTag.QUAD_PT, 4)
+
+
+class TestMabuchiGuards:
+    def test_requires_anticanonical(self):
+        with pytest.raises(NotAnticanonicalError):
+            criteria.mabuchi(blpp_resolve(4, 2, (3, 1, 1)))
+
+    def test_requires_ample(self):
+        with pytest.raises(NotAmpleError):
+            criteria.mabuchi(blpp_resolve(6, 2, (1, 2, 2)))
+
+    def test_blqq_has_no_center_axis(self):
+        with pytest.raises(InvalidParameterError):
+            _mabuchi(FamilyTag.BLQQ, 7, 3)
+
+    def test_strict_axes_make_outside_inconclusive(self):
+        # quadpm is symmetric in y, so its first y-moment vanishes
+        verdict = _mabuchi(FamilyTag.QUAD_PM, 7)
+        assert dict(verdict.detail)["first_moment"] == 0
+        assert verdict.status is MabuchiStatus.INCONCLUSIVE and verdict.ratio is None
 
 
 class TestMultiplierCertificate:
