@@ -7,9 +7,10 @@ derived for display and never feed back into a decision.  Identical
 invocations produce byte-identical json and csv output: rows are generated
 in parameter order and keys in fixed order.
 
-Exit codes: 0 on completion, 1 on an invalid invocation, 2 when any row
-ended in an ``error:<code>`` verdict (whatever the code) or when
-dump-instance raised a kstab error.
+Exit codes: 0 on completion, 1 on an invalid invocation or an ``--out``
+path that cannot be written, 2 when any row ended in an ``error:<code>``
+verdict (whatever the code) or when dump-instance raised a kstab error.
+The reason of each error or no-bracket row goes to stderr, one line a row.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def _coupled_result(task: Task) -> tuple[str, dict]:
 def _execute_tasks(tasks: list[Task], jobs: int) -> list[dict]:
     if jobs > 1 and len(tasks) > 1:
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
                 return list(pool.map(_run_task, tasks))
         except OSError as exc:
             print(f"kstab: worker pool unavailable ({type(exc).__name__}: {exc}); running serially",
@@ -467,6 +468,11 @@ def execute(spec: RunSpec) -> tuple[str, int]:
     if not tasks:
         raise SpecError("field --n/--p: the requested sweep is empty")
     rows = _execute_tasks(tasks, spec.jobs)
+    for row in rows:
+        if "note" in row:
+            params = ",".join(f"{key}={value}" for key, value in row["params"].items())
+            print(f"kstab: {row['family']} {params}: {row['verdict']}: {row['note']}",
+                  file=sys.stderr)
     if spec.fmt == "json":
         text = _render_rows_json(spec.command, rows)
     elif spec.fmt == "csv":
@@ -500,8 +506,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"kstab: {exc.code}: {exc}", file=sys.stderr)
         return 2
     if spec.out:
-        with open(spec.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(spec.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"kstab: cannot write {spec.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0 if code == 0 else code

@@ -156,12 +156,6 @@ def blpp_moment_closed(n: int, p: int) -> Fraction:
     return Fraction(-((p - 1) ** p * (q + 1) ** q - (p + 1) ** p * (q - 1) ** q), n)
 
 
-def blpp_moment_sign(n: int, p: int) -> int:
-    """Sign (-1, 0, +1) of the blpp stability moment, via the exact integral."""
-    value = blpp_moment(n, p)
-    return (value > 0) - (value < 0)
-
-
 # ---------------------------------------------------------------------------
 # Blown-up quadric (codimension >= 3 center): moments and closed forms
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Each check re-derives a published-style claim two independent ways (exact
 polytope integration on one side, a closed form or structural argument on
 the other) and reports pass/fail with an exact witness.  Failures are
 reported, never thrown: a red line with its counterexample is a result.
+
+A check is a list of cases and a test: ``_check`` runs ``test(*case)`` on
+every case, each yielding one line per broken expectation, and reports the
+first three lines, or the number of cases when none is broken.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator, Sequence
 
 from . import criteria
 from .criteria import KEStatus, MabuchiStatus
@@ -47,59 +52,63 @@ def _result(criterion: int, name: str, failures: list[str], ok_witness: str) -> 
     return CheckResult(criterion, name, True, ok_witness)
 
 
+def _check(criterion: int, name: str, cases: Sequence[tuple],
+           test: Callable[..., Iterator[str]], noun: str) -> CheckResult:
+    """Run ``test(*case)`` on every case; the passing witness counts the cases."""
+    failures = [line for case in cases for line in test(*case)]
+    return _result(criterion, name, failures, f"{len(cases)} {noun}")
+
+
+def _members(tag: FamilyTag, max_n: int) -> list[tuple[int, int | None]]:
+    """Every (n, p) of the family with n <= max_n; p is None for a family without p."""
+    return [(n, p) for n in range(tag.min_n, max_n + 1) for p in tag.p_values(n)]
+
+
 # --------------------------------------------------------------------------
 # Criterion 1: closed-form oracle equivalence
 # --------------------------------------------------------------------------
 
 
 def check_closed_forms(max_n: int) -> list[CheckResult]:
-    out = []
+    def blpp(n, p):
+        exact, closed = criteria.blpp_moment(n, p), criteria.blpp_moment_closed(n, p)
+        if exact != closed:
+            yield f"n={n},p={p}: {exact} != {closed}"
 
-    failures = []
-    count = 0
-    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
-        for p in FamilyTag.BLPP.p_values(n):
-            count += 1
-            exact, closed = criteria.blpp_moment(n, p), criteria.blpp_moment_closed(n, p)
-            if exact != closed:
-                failures.append(f"n={n},p={p}: {exact} != {closed}")
-    out.append(_result(1, "blpp moment = closed form", failures, f"{count} identities"))
+    def blqq(k, l):
+        exact, closed = criteria.blqq_x_moment(k, l), criteria.blqq_x_moment_closed(k, l)
+        if exact != closed:
+            yield f"k={k},l={l}: {exact} != {closed}"
 
-    failures = []
-    count = 0
-    cap = max(2, min(20, max_n // 2))
-    for k in range(2, cap + 1):
-        for l in range(2, cap + 1):
-            count += 1
-            exact, closed = criteria.blqq_x_moment(k, l), criteria.blqq_x_moment_closed(k, l)
-            if exact != closed:
-                failures.append(f"k={k},l={l}: {exact} != {closed}")
-    out.append(_result(1, "blqq x-moment = beta expansion", failures, f"{count} identities"))
+    k2_forms = {"x": (criteria.blqq_x_moment, criteria.blqq_x_moment_closed_k2),
+                "y": (criteria.blqq_y_moment, criteria.blqq_y_moment_closed_k2)}
 
-    failures = []
-    count = 0
-    for l in range(2, max_n + 1):
-        count += 2
-        ex_x, cl_x = criteria.blqq_x_moment(2, l), criteria.blqq_x_moment_closed_k2(l)
-        ex_y, cl_y = criteria.blqq_y_moment(2, l), criteria.blqq_y_moment_closed_k2(l)
-        if ex_x != cl_x:
-            failures.append(f"l={l} x: {ex_x} != {cl_x}")
-        if ex_y != cl_y:
-            failures.append(f"l={l} y: {ex_y} != {cl_y}")
-        if ex_x <= 0 or ex_y <= 0:
-            failures.append(f"l={l}: moments not positive ({ex_x}, {ex_y})")
-    out.append(_result(1, "blqq k=2 moments = antiderivative forms, both positive",
-                       failures, f"{count} identities"))
+    def blqq_k2(l, axis):
+        moment, closed_k2 = k2_forms[axis]
+        exact, closed = moment(2, l), closed_k2(l)
+        if exact != closed:
+            yield f"l={l} {axis}: {exact} != {closed}"
+        if exact <= 0:
+            yield f"l={l} {axis}: moment {exact} not positive"
 
-    failures = []
-    count = 0
-    for n in range(FamilyTag.QUAD_E.min_n, max_n + 1):
-        count += 1
+    def quade(n, _p):
         exact, closed = criteria.quad_e_x_barycenter(n), criteria.quad_e_x_barycenter_closed(n)
         if exact != closed:
-            failures.append(f"n={n}: {exact} != {closed}")
-    out.append(_result(1, "quade barycenter ratio = closed form", failures, f"{count} identities"))
-    return out
+            yield f"n={n}: {exact} != {closed}"
+
+    cap = max(2, min(20, max_n // 2))
+    return [
+        _check(1, "blpp moment = closed form", _members(FamilyTag.BLPP, max_n), blpp,
+               "identities"),
+        _check(1, "blqq x-moment = beta expansion",
+               [(k, l) for k in range(2, cap + 1) for l in range(2, cap + 1)], blqq,
+               "identities"),
+        _check(1, "blqq k=2 moments = antiderivative forms, both positive",
+               [(l, axis) for l in range(2, max_n + 1) for axis in "xy"], blqq_k2,
+               "identities"),
+        _check(1, "quade barycenter ratio = closed form", _members(FamilyTag.QUAD_E, max_n),
+               quade, "identities"),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -108,21 +117,18 @@ def check_closed_forms(max_n: int) -> list[CheckResult]:
 
 
 def check_blpp_classification(max_n: int) -> list[CheckResult]:
-    failures = []
-    count = 0
-    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
-        for p in FamilyTag.BLPP.p_values(n):
-            count += 1
-            verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p))
-            expect_ke = (n % 2 == 0 and 2 * p == n)
-            if (verdict.status is KEStatus.KAHLER_EINSTEIN) != expect_ke:
-                failures.append(f"n={n},p={p}: {verdict.status.value}")
-            sign = criteria.blpp_moment_sign(n, p)
-            expect_sign = 0 if 2 * p == n else (1 if 2 * p < n else -1)
-            if sign != expect_sign:
-                failures.append(f"n={n},p={p}: sign {sign} != {expect_sign}")
-    return [_result(2, "blpp: balanced case is the only Kähler-Einstein one, signs match",
-                    failures, f"{count} instances")]
+    def classify(n, p):
+        verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p))
+        if (verdict.status is KEStatus.KAHLER_EINSTEIN) != (2 * p == n):
+            yield f"n={n},p={p}: {verdict.status.value}"
+        # the stability moment is mass * xi with mass > 0, so xi carries its sign
+        sign = (verdict.xi[0] > 0) - (verdict.xi[0] < 0)
+        expect_sign = (2 * p < n) - (2 * p > n)
+        if sign != expect_sign:
+            yield f"n={n},p={p}: sign {sign} != {expect_sign}"
+
+    return [_check(2, "blpp: balanced case is the only Kähler-Einstein one, signs match",
+                   _members(FamilyTag.BLPP, max_n), classify, "instances")]
 
 
 # --------------------------------------------------------------------------
@@ -131,43 +137,34 @@ def check_blpp_classification(max_n: int) -> list[CheckResult]:
 
 
 def check_quadric_blowups(max_n: int) -> list[CheckResult]:
-    out = []
+    def unstable(n, p):
+        verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLQQ, n, p))
+        if verdict.status is not KEStatus.NOT_K_SEMISTABLE:
+            yield f"n={n},p={p}: {verdict.status.value}"
 
-    failures = []
-    count = 0
-    for n in range(FamilyTag.BLQQ.min_n, max_n + 1):
-        for p in [p for p in FamilyTag.BLQQ.p_values(n) if p >= 4]:
-            count += 1
-            verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLQQ, n, p))
-            if verdict.status is not KEStatus.NOT_K_SEMISTABLE:
-                failures.append(f"n={n},p={p}: {verdict.status.value}")
-    out.append(_result(3, "blqq with 4 <= p <= n-3 is not K-semistable",
-                       failures, f"{count} instances"))
-
-    failures = []
-    count = 0
-    for n in range(FamilyTag.BLQQ.min_n, max_n + 1):
-        count += 1
+    def balanced(n):
         verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLQQ, n, 3))
         if verdict.status is not KEStatus.KAHLER_EINSTEIN:
-            failures.append(f"n={n}: {verdict.status.value}, xi={verdict.xi}")
-    out.append(_result(3, "blqq with p = 3 is Kähler-Einstein", failures, f"{count} instances"))
+            yield f"n={n}: {verdict.status.value}, xi={verdict.xi}"
 
-    for tag, label in ((FamilyTag.QUAD_E, "quade"), (FamilyTag.QUAD_PM, "quadpm")):
-        failures = []
-        count = 0
-        for n in range(tag.min_n, max_n + 1):
-            count += 1
-            verdict = criteria.ke_classify(resolve_anticanonical(tag, n))
-            if verdict.xi[1] != 0:
-                failures.append(f"n={n}: y-witness {verdict.xi[1]} != 0")
-            if not (verdict.status is KEStatus.KAHLER_EINSTEIN and verdict.xi[0] > 0):
-                failures.append(
-                    f"n={n}: {verdict.status.value}, x-witness {rational_to_str(verdict.xi[0])}"
-                )
-        out.append(_result(3, f"{label} is Kähler-Einstein with positive x-witness",
-                           failures, f"{count} instances"))
-    return out
+    def positive_x(tag, n):
+        verdict = criteria.ke_classify(resolve_anticanonical(tag, n))
+        if verdict.xi[1] != 0:
+            yield f"n={n}: y-witness {verdict.xi[1]} != 0"
+        if not (verdict.status is KEStatus.KAHLER_EINSTEIN and verdict.xi[0] > 0):
+            yield f"n={n}: {verdict.status.value}, x-witness {rational_to_str(verdict.xi[0])}"
+
+    return [
+        _check(3, "blqq with 4 <= p <= n-3 is not K-semistable",
+               [(n, p) for n, p in _members(FamilyTag.BLQQ, max_n) if p >= 4], unstable,
+               "instances"),
+        _check(3, "blqq with p = 3 is Kähler-Einstein",
+               [(n,) for n in range(FamilyTag.BLQQ.min_n, max_n + 1)], balanced, "instances"),
+    ] + [
+        _check(3, f"{tag.cli_name} is Kähler-Einstein with positive x-witness",
+               [(tag, n) for n in range(tag.min_n, max_n + 1)], positive_x, "instances")
+        for tag in (FamilyTag.QUAD_E, FamilyTag.QUAD_PM)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -176,25 +173,25 @@ def check_quadric_blowups(max_n: int) -> list[CheckResult]:
 
 
 def check_quadpt_mabuchi(max_n: int) -> list[CheckResult]:
-    failures = []
-    count = 0
-    for n in range(FamilyTag.QUAD_PT.min_n, max_n + 1):
-        count += 1
+    def no_mabuchi(n):
         verdict = criteria.mabuchi(resolve_anticanonical(FamilyTag.QUAD_PT, n))
         first = dict(verdict.detail)["first_moment"]
         if verdict.status is not MabuchiStatus.NOT_EXISTS or first <= 0:
-            failures.append(f"n={n}: {verdict.status.value}, first y-moment {first}")
+            yield f"n={n}: {verdict.status.value}, first y-moment {first}"
         margin = criteria.quad_pt_margin(n)
         closed = criteria.quad_pt_margin_closed(n)
         if closed > 0:
-            failures.append(f"n={n}: closed margin {closed} > 0")
+            yield f"n={n}: closed margin {closed} > 0"
         if (n - 3) * (n - 1) * n * margin != closed:
-            failures.append(f"n={n}: margin identity broken")
+            yield f"n={n}: margin identity broken"
+
+    ns = range(FamilyTag.QUAD_PT.min_n, max_n + 1)
+    failures = [line for n in ns for line in no_mabuchi(n)]
     spot = criteria.quad_pt_margin_closed(5)
     if spot != -44:
         failures.append(f"spot value at n=5 is {spot}, expected -44")
     return [_result(4, "quadpt admits no Mabuchi metric; margin matches closed form",
-                    failures, f"{count} instances, spot n=5 = -44")]
+                    failures, f"{len(ns)} instances, spot n=5 = -44")]
 
 
 # --------------------------------------------------------------------------
@@ -203,44 +200,41 @@ def check_quadpt_mabuchi(max_n: int) -> list[CheckResult]:
 
 
 def check_coupled(max_n: int) -> list[CheckResult]:
-    out = []
-
-    failures = []
-    count = 0
-    for k in range(2, max_n + 1):
-        count += 1
+    def positive_residual(k):
         start, _ = criteria.coupled_default_endpoints(k)
         value = criteria.coupled_residual(k, start)
         if value <= 0:
-            failures.append(f"k={k}: residual {value} not positive")
-    out.append(_result(5, "residual at the self-complementary half is positive",
-                       failures, f"{count} values"))
+            yield f"k={k}: residual {value} not positive"
 
-    failures = []
-    threshold = criteria.coupled_negative_threshold(max_k=max(max_n, 20))
     searched = []
-    for k in sorted({threshold, threshold + 5, 20}):
+
+    def sound_certificate(k):
         start, end = criteria.coupled_default_endpoints(k)
         try:
             cert = criteria.coupled_search(k, start, end, max_bisections=40)
         except KstabError as exc:
-            failures.append(f"k={k}: {exc}")
-            continue
+            yield f"k={k}: {exc}"
+            return
         searched.append(k)
         if not ((cert.residual_lo > 0) != (cert.residual_hi > 0)):
-            failures.append(f"k={k}: endpoint residual signs agree")
+            yield f"k={k}: endpoint residual signs agree"
         if criteria.coupled_residual(k, cert.params_lo) != cert.residual_lo:
-            failures.append(f"k={k}: recorded low residual is stale")
+            yield f"k={k}: recorded low residual is stale"
         if criteria.coupled_residual(k, cert.params_hi) != cert.residual_hi:
-            failures.append(f"k={k}: recorded high residual is stale")
+            yield f"k={k}: recorded high residual is stale"
         if not (criteria.coupled_pair_ample(k, cert.params_lo)
                 and criteria.coupled_pair_ample(k, cert.params_hi)):
-            failures.append(f"k={k}: certificate endpoint is not an ample pair")
+            yield f"k={k}: certificate endpoint is not an ample pair"
         if cert.width > Fraction(1, 2 ** 40):
-            failures.append(f"k={k}: bracket width {cert.width} too large")
-    out.append(_result(5, "bracketing search yields sound certificates",
-                       failures, f"threshold k0={threshold}; searched k={searched}"))
-    return out
+            yield f"k={k}: bracket width {cert.width} too large"
+
+    positive = _check(5, "residual at the self-complementary half is positive",
+                      [(k,) for k in range(2, max_n + 1)], positive_residual, "values")
+    threshold = criteria.coupled_negative_threshold(max_k=max(max_n, 20))
+    failures = [line for k in sorted({threshold, threshold + 5, 20})
+                for line in sound_certificate(k)]
+    return [positive, _result(5, "bracketing search yields sound certificates",
+                              failures, f"threshold k0={threshold}; searched k={searched}")]
 
 
 # --------------------------------------------------------------------------
@@ -249,22 +243,19 @@ def check_coupled(max_n: int) -> list[CheckResult]:
 
 
 def check_multiplier_certificates(max_n: int) -> list[CheckResult]:
-    failures = []
-    count = 0
-    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
-        for p in FamilyTag.BLPP.p_values(n):
-            count += 1
-            try:
-                cert = criteria.mh_certificate(n, p)
-            except KstabError as exc:
-                failures.append(f"n={n},p={p}: {exc}")
-                continue
-            if cert.moment_integral != 0:
-                failures.append(f"n={n},p={p}: moment {cert.moment_integral}")
-            if any(m <= 0 for m in cert.concavity_witness):
-                failures.append(f"n={n},p={p}: nonpositive factor minimum")
-    return [_result(6, "multiplier certificates: zero moment, positive factors",
-                    failures, f"{count} certificates")]
+    def certificate(n, p):
+        try:
+            cert = criteria.mh_certificate(n, p)
+        except KstabError as exc:
+            yield f"n={n},p={p}: {exc}"
+            return
+        if cert.moment_integral != 0:
+            yield f"n={n},p={p}: moment {cert.moment_integral}"
+        if any(m <= 0 for m in cert.concavity_witness):
+            yield f"n={n},p={p}: nonpositive factor minimum"
+
+    return [_check(6, "multiplier certificates: zero moment, positive factors",
+                   _members(FamilyTag.BLPP, max_n), certificate, "certificates")]
 
 
 # --------------------------------------------------------------------------
@@ -308,17 +299,14 @@ def _random_chord(rng: random.Random, polygon: Polygon) -> HalfPlane:
     return HalfPlane.of(normal[0], normal[1], normal[0] * a[0] + normal[1] * a[1])
 
 
-def check_quadrature_properties(max_n: int, cases: int = 200, seed: int = 20240212) -> list[CheckResult]:
-    out = []
-    rng = random.Random(seed)
-    polygons = _sample_polygons()
-
-    failures = []
-    done = 0
-    attempts = 0
-    while done < cases and attempts < cases * 20:
-        attempts += 1
-        polygon = polygons[attempts % len(polygons)]
+def _chord_splits(rng: random.Random, polygons: list[Polygon], wanted: int) -> list[tuple]:
+    """Up to ``wanted`` cases (index, polygon, its two parts across a random
+    chord, a random polynomial), from at most 20 chords per case."""
+    splits: list[tuple] = []
+    for attempt in range(1, wanted * 20 + 1):
+        if len(splits) == wanted:
+            break
+        polygon = polygons[attempt % len(polygons)]
         chord = _random_chord(rng, polygon)
         flipped = HalfPlane.of(-chord.a, -chord.b, -chord.c)
         try:
@@ -326,72 +314,71 @@ def check_quadrature_properties(max_n: int, cases: int = 200, seed: int = 202402
             part_two = polygon_from_halfplanes(polygon.halfplanes + (flipped,))
         except KstabError:
             continue
-        f = _random_poly2(rng, max_degree=10)
+        splits.append((len(splits), polygon, part_one, part_two, _random_poly2(rng, max_degree=10)))
+    return splits
+
+
+def check_quadrature_properties(max_n: int, cases: int = 200, seed: int = 20240212) -> list[CheckResult]:
+    rng = random.Random(seed)
+    polygons = _sample_polygons()
+
+    def additive(index, polygon, part_one, part_two, f):
         whole = integrate_poly2_polygon(f, polygon)
         split = integrate_poly2_polygon(f, part_one) + integrate_poly2_polygon(f, part_two)
         if whole != split:
-            failures.append(f"case {done}: {whole} != {split}")
-        done += 1
-    if done < cases:
-        failures.append(f"only {done} of {cases} chord splits were produced")
-    out.append(_result(7, "integral additivity under random chord splits",
-                       failures, f"{done} exact splits"))
+            yield f"case {index}: {whole} != {split}"
 
-    failures = []
-    for polygon in polygons:
-        f = _random_poly2(rng, max_degree=6)
-        values = set()
-        for root in range(len(polygon.vertices)):
-            total = sum(
-                (integrate_poly2_triangle(f, tri) for tri in fan_triangles(polygon, root)),
-                Fraction(0),
-            )
-            values.add(total)
+    def fan_independent(polygon, f):
+        values = {
+            sum((integrate_poly2_triangle(f, tri) for tri in fan_triangles(polygon, root)),
+                Fraction(0))
+            for root in range(len(polygon.vertices))
+        }
         if len(values) != 1:
-            failures.append(f"{len(polygon.vertices)}-gon: {len(values)} distinct values")
-    out.append(_result(7, "triangulation independence across fan roots",
-                       failures, f"{len(polygons)} polygons, all fan roots"))
+            yield f"{len(polygon.vertices)}-gon: {len(values)} distinct values"
 
-    failures = []
-    count = 0
-    for tag in FamilyTag:
-        for n in range(tag.min_n, max_n + 1):
-            for p in tag.p_values(n):
-                count += 1
-                inst = resolve_anticanonical(tag, n, p)
-                bary = criteria.instance_barycenter(inst)
-                if not inst.domain.contains(bary[0] if len(bary) == 1 else bary):
-                    failures.append(f"{tag.cli_name} n={n}" + ("" if p is None else f",p={p}"))
-    out.append(_result(7, "barycenter lies inside every ample family domain",
-                       failures, f"{count} instances"))
+    def inside(tag, n, p):
+        inst = resolve_anticanonical(tag, n, p)
+        bary = criteria.instance_barycenter(inst)
+        if not inst.domain.contains(bary[0] if len(bary) == 1 else bary):
+            yield f"{tag.cli_name} n={n}" + ("" if p is None else f",p={p}")
 
-    failures = []
-    count = 0
-    for n in range(FamilyTag.BLPP.min_n, max_n + 1):
-        for p in FamilyTag.BLPP.p_values(n):
-            count += 1
-            xi = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p)).xi[0]
-            xi_mirror = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, n - p)).xi[0]
-            if xi != -xi_mirror:
-                failures.append(f"n={n},p={p}: {xi} != -({xi_mirror})")
-    out.append(_result(7, "blpp mirror antisymmetry of the witness",
-                       failures, f"{count} pairs"))
+    blpp = _members(FamilyTag.BLPP, max_n)
+    xi = {(n, p): criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p)).xi[0]
+          for n, p in blpp}
 
-    out.append(_cli_determinism_check())
-    return out
+    def mirrored(n, p):
+        if xi[n, p] != -xi[n, n - p]:
+            yield f"n={n},p={p}: {xi[n, p]} != -({xi[n, n - p]})"
+
+    splits = _chord_splits(rng, polygons, cases)
+    split_failures = [line for split in splits for line in additive(*split)]
+    if len(splits) < cases:
+        split_failures.append(f"only {len(splits)} of {cases} chord splits were produced")
+    return [
+        _result(7, "integral additivity under random chord splits",
+                split_failures, f"{len(splits)} exact splits"),
+        _check(7, "triangulation independence across fan roots",
+               [(polygon, _random_poly2(rng, max_degree=6)) for polygon in polygons],
+               fan_independent, "polygons, all fan roots"),
+        _check(7, "barycenter lies inside every ample family domain",
+               [(tag, n, p) for tag in FamilyTag for n, p in _members(tag, max_n)], inside,
+               "instances"),
+        _check(7, "blpp mirror antisymmetry of the witness", blpp, mirrored, "pairs"),
+        _cli_determinism_check(),
+    ]
 
 
 def _cli_determinism_check() -> CheckResult:
     from . import cli  # local import; cli depends on this module
 
-    failures = []
-    for fmt in ("json", "csv"):
+    def rerun_identical(fmt):
         args = ["ke", "--family", "blpp", "--n", "4..8", "--p", "all", "--format", fmt]
-        first = cli.render_to_string(args)
-        second = cli.render_to_string(args)
-        if first != second:
-            failures.append(f"{fmt} output differs between identical runs")
-    return _result(7, "identical runs render byte-identical json/csv", failures, "2 formats")
+        if cli.render_to_string(args) != cli.render_to_string(args):
+            yield f"{fmt} output differs between identical runs"
+
+    return _check(7, "identical runs render byte-identical json/csv",
+                  [("json",), ("csv",)], rerun_identical, "formats")
 
 
 # --------------------------------------------------------------------------
@@ -411,20 +398,9 @@ def verify_theorems(max_n: int = 40, suite: str = "all") -> list[CheckResult]:
         raise InvalidParameterError(
             f"unknown suite {suite!r}; choose from {sorted(_SUITE_CRITERIA)}"
         )
-    wanted = set(_SUITE_CRITERIA[suite])
-    results: list[CheckResult] = []
-    if 1 in wanted:
-        results.extend(check_closed_forms(max_n))
-    if 2 in wanted:
-        results.extend(check_blpp_classification(max_n))
-    if 3 in wanted:
-        results.extend(check_quadric_blowups(max_n))
-    if 4 in wanted:
-        results.extend(check_quadpt_mabuchi(max_n))
-    if 5 in wanted:
-        results.extend(check_coupled(max_n))
-    if 6 in wanted:
-        results.extend(check_multiplier_certificates(max_n))
-    if 7 in wanted:
-        results.extend(check_quadrature_properties(max_n))
-    return results
+    # Built per call, so a check rebound on the module (as a tracer does) is the one run.
+    checks = (check_closed_forms, check_blpp_classification, check_quadric_blowups,
+              check_quadpt_mabuchi, check_coupled, check_multiplier_certificates,
+              check_quadrature_properties)
+    return [result for criterion in _SUITE_CRITERIA[suite]
+            for result in checks[criterion - 1](max_n)]

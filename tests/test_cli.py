@@ -1,11 +1,15 @@
 """Command-line surface: formats, determinism, exit codes, worker pool."""
 
+import contextlib
+import io
 import json
 import pickle
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab import cli, criteria, verify
 from kstab.cli import main, parse_spec, render_to_string
@@ -95,6 +99,28 @@ class TestExitCodes:
         code = main(["ke", "--family", "blpp", "--n", "4..6", "--p", "4", "--jobs", "1"])
         capsys.readouterr()
         assert code == 2
+
+    def test_error_row_notes_go_to_stderr(self, capsys):
+        args = ["ke", "--family", "blpp", "--n", "4..6", "--p", "4", "--format", "csv", "--jobs", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        for n, line in zip((4, 5), err):
+            assert line.startswith(f"kstab: blpp n={n},p=4: error:invalid-parameter: ")
+            assert "2 <= p <= n-2" in line
+        assert captured.out == render_to_string(args)
+        assert captured.out.splitlines()[1] == "blpp,4,4,error:invalid-parameter,,,,,,"
+
+    def test_unwritable_out_is_one(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code = main(["ke", "--family", "blpp", "--n", "4", "--p", "2", "--format", "json",
+                     "--out", str(target), "--jobs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"kstab: cannot write {target}: ")
+        assert not target.exists()
 
     def test_clean_sweep_is_zero(self, capsys):
         assert main(["ke", "--family", "blpp", "--n", "4..6", "--p", "all", "--jobs", "1"]) == 0
@@ -225,6 +251,28 @@ class TestTasks:
         assert "OSError: no semaphores" in err[0] and "serially" in err[0]
 
 
+    def test_pool_is_sized_to_the_work(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        args = ["ke", "--family", "blpp", "--n", "4..5", "--p", "all", "--format", "json"]
+        assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
+        assert sizes == [3]
+
+
 class TestNegativeControl:
     def test_tampered_closed_form_is_reported(self, monkeypatch):
         monkeypatch.setattr(criteria, "blqq_x_moment_closed", lambda k, l: F(0))
@@ -251,3 +299,54 @@ class TestExactnessFirewall:
 
     def test_rendering_lives_only_in_cli(self):
         assert "Decimal" in (SRC_DIR / "cli.py").read_text(encoding="utf-8")
+
+
+# Bounded argv for every command: out-of-range and malformed values on
+# purpose.  verify always names a quick suite and a small --max-n (the
+# defaults run the full suite at n = 40, which the acceptance tests cover).
+_ints = st.integers(-2, 12)
+_small = st.integers(-1, 6)
+_ranges = st.one_of(
+    _ints.map(str),
+    st.tuples(_ints, _ints).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from(["all", "", "3..", "..4", "1..2..3", "x", " 5 "]),
+)
+_small_ranges = st.one_of(_small.map(str), st.tuples(_small, _small).map(lambda t: f"{t[0]}..{t[1]}"))
+_coefficients = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.tuples(st.integers(-3, 5), st.integers(-1, 4)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["", "x", "1.5", " "]),
+)
+_divisors = st.lists(_coefficients, max_size=4).map(",".join)
+_families = st.sampled_from(sorted(cli._FAMILIES) + ["nope"])
+
+
+def _maybe(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+_argvs = st.one_of(
+    st.tuples(st.sampled_from(["ke", "mabuchi"]), _families.map(lambda f: [f"--family={f}"]),
+              _maybe("--n", _ranges), _maybe("--p", _ranges)),
+    st.tuples(st.just("mh"), _maybe("--n", _ranges), _maybe("--p", _ranges)),
+    st.tuples(st.just("coupled"), _maybe("--k", _small_ranges), _maybe("--bisections", _small),
+              _maybe("--start", _divisors), _maybe("--end", _divisors)),
+    st.tuples(st.just("verify"), st.sampled_from(["closed-forms", "ke", "mh", "x"]).map(lambda s: [f"--suite={s}"]),
+              _ints.map(lambda n: [f"--max-n={n}"])),
+    st.tuples(st.just("dump-instance"), _families.map(lambda f: [f"--family={f}"]),
+              _maybe("--n", _ints), _maybe("--p", _ints), _maybe("--divisor", _divisors)),
+).map(lambda parts: [parts[0]] + [arg for part in parts[1:] for arg in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs, fmt=st.sampled_from(["json", "csv", "markdown"]))
+def test_main_fuzz_never_raises(tmp_path_factory, argv, fmt):
+    out = tmp_path_factory.getbasetemp() / "fuzz-report"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", fmt, "--jobs", "1", "--out", str(out)])
+    assert code in (0, 1, 2)
+    if argv[0] != "coupled":  # coupled --k 2 still ends in a contract breach (ROADMAP item 8)
+        report = out.read_text(encoding="utf-8") if out.exists() else ""
+        assert "contract-breach" not in report + err.getvalue()

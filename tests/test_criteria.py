@@ -93,10 +93,8 @@ class TestMomentClosedForms:
         assert criteria.blpp_moment_closed(6, 2) == F(52, 3)
 
     def test_blpp_signs(self):
-        assert criteria.blpp_moment_sign(10, 5) == 0
-        assert criteria.blpp_moment_sign(5, 2) == 1
+        assert criteria.blpp_moment(10, 5) == 0
         assert criteria.blpp_moment(5, 2) == F(8, 5)
-        assert criteria.blpp_moment_sign(5, 3) == -1
         assert criteria.blpp_moment(5, 3) == F(-8, 5)
 
     def test_blqq_beta_expansion(self):

@@ -51,6 +51,7 @@ TINY_RUNS = (
     ["mabuchi", "--family", "quadpt", "--n", "5"],
     ["mh", "--n", "4"],
     ["coupled", "--k", "3", "--bisections", "2"],
+    ["verify", "--suite", "mh", "--max-n", "7"],
 )
 
 
@@ -70,3 +71,5 @@ def test_traced_tiny_runs_count_every_layer(tmp_path):
                 "cli.render.bytes"):
         assert tracer.counts[key] > 0, key
     assert tracer.maxima["quadrature.result_bits.max"] > 0
+    # verify dispatches through the rebound check names, so its spans are recorded
+    assert tracer.summary()["verify.c6"]["calls"] > 0
