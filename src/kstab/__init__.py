@@ -48,6 +48,7 @@ from .polytope import (
 from .quadrature import (
     Moments2,
     barycenter,
+    integrate_factored,
     integrate_monomial_simplex,
     integrate_poly1,
     integrate_poly2_polygon,
@@ -91,6 +92,7 @@ __all__ = [
     "coupled_residual",
     "coupled_search",
     "instance_record",
+    "integrate_factored",
     "integrate_monomial_simplex",
     "integrate_poly1",
     "integrate_poly2_polygon",

@@ -142,8 +142,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Flags whose value may start with "-", as in "--p -2..1"
+_VALUE_FLAGS = ("--n", "--p", "--k", "--start", "--end", "--divisor")
+
+
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Join each value flag to a following "-..." value as "--flag=-...".
+
+    argparse reads a lone "-2..1" as an unknown option, so the value would
+    never reach its parser and the error would name the wrong problem.
+    """
+    args: list[str] = []
+    for arg in argv:
+        if args and args[-1] in _VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            args[-1] = f"{args[-1]}={arg}"
+        else:
+            args.append(arg)
+    return args
+
+
 def parse_spec(argv: Sequence[str]) -> RunSpec:
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_attach_values(argv))
     family = _FAMILIES.get(getattr(ns, "family", "") or "")
     n_values: tuple[int, ...] = ()
     if getattr(ns, "n", None) is not None:

@@ -3,7 +3,9 @@ cross-checks for every integral they rely on.
 
 All verdicts are decided on exact rationals and carry their witnesses, so a
 report line can be re-verified independently of this code.  Every weight
-integral goes through ``_weighted_integrals``, which expands the weight once.
+integral goes through ``_weighted_integrals``, which appends extra affine
+factors to the factored weight and hands the product to
+``quadrature.integrate_factored``; nothing here multiplies a weight out.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from .families import (
     check_params,
     resolve_anticanonical,
 )
-from .poly import AffineForm, FactoredWeight, Poly1, Poly2, RationalLike, _as_fraction, binomial
-from .polytope import Segment
-from .quadrature import integrate_poly1, integrate_poly2_polygon
+from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, binomial
+from .quadrature import integrate_factored
+
+# Extra affine factors of one weighted integral, as (form, multiplicity) pairs.
+Factors = tuple[tuple[AffineForm, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +82,19 @@ def classify_offset(xi: Sequence[Fraction], strict_axes: Sequence[int]) -> KESta
     return KEStatus.BOUNDARY
 
 
-def _weighted_integrals(
-    inst: FamilyInstance, polys: Sequence[int | Poly1 | Poly2]
-) -> list[Fraction]:
-    """Integral over the instance domain of the instance weight times each
-    polynomial in ``polys``; the weight is expanded once."""
-    weight = inst.weight.expand()
-    if isinstance(inst.domain, Segment):
-        return [integrate_poly1(weight * f, inst.domain) for f in polys]
-    return [integrate_poly2_polygon(weight * f, inst.domain) for f in polys]
+def _weighted_integrals(inst: FamilyInstance, extras: Sequence[Factors]) -> list[Fraction]:
+    """Integral over the instance domain of the instance weight times the
+    product of each tuple of affine factors in ``extras``."""
+    w = inst.weight
+    return [integrate_factored(FactoredWeight(w.prefactor, w.factors + extra, w.nvars), inst.domain)
+            for extra in extras]
 
 
-def _offsets(origin: Sequence[Fraction]) -> list[int | Poly1 | Poly2]:
-    """1, then x_a - origin[a] for each axis a, as polynomials in len(origin) variables."""
+def _offsets(origin: Sequence[Fraction]) -> list[Factors]:
+    """No factor, then the factor x_a - origin[a] for each axis a, in len(origin) variables."""
     dim = len(origin)
     axes = [[int(i == a) for i in range(dim)] for a in range(dim)]
-    return [1] + [AffineForm.of(-o, *unit).as_poly() for o, unit in zip(origin, axes)]
+    return [()] + [((AffineForm.of(-o, *unit), 1),) for o, unit in zip(origin, axes)]
 
 
 def instance_moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -232,8 +233,8 @@ def quad_pt_margin(n: int) -> Fraction:
     """Exact decision quantity of the quadpt test: second y-moment minus
     (n-2) times the first, integrated against the weight."""
     inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
-    _, _, y = _offsets(inst.target)
-    first, second = _weighted_integrals(inst, [y, y * y])
+    _, _, ((y, _),) = _offsets(inst.target)
+    first, second = _weighted_integrals(inst, [((y, 1),), ((y, 2),)])
     return second - (n - 2) * first
 
 
@@ -282,8 +283,8 @@ def mabuchi(inst: FamilyInstance) -> MabuchiVerdict:
             f"{inst.tag.cli_name}{inst.dims}: the Mabuchi test needs exactly one center axis"
         )
     (axis,) = center
-    u = _offsets(inst.target)[1 + axis]
-    first, second = _weighted_integrals(inst, [u, u * u])
+    ((u, _),) = _offsets(inst.target)[1 + axis]
+    first, second = _weighted_integrals(inst, [((u, 1),), ((u, 2),)])
     detail = (("first_moment", first), ("second_moment", second))
     outside = MabuchiStatus.INCONCLUSIVE if inst.strict_axes else MabuchiStatus.EXISTS
     if first == 0:
@@ -332,12 +333,10 @@ def mh_certificate(n: int, p: int) -> MHCertificate:
     minima = reflected.factor_minima([(t - target,) for (t,) in inst.domain.vertices])
     if any(m <= 0 for m in minima):
         raise ContractError(f"multiplier factor not positive on [-1, 1] for n={n}, p={p}")
-    _, integrand = _offsets(inst.target)
-    for form, mult in reflected.factors:
-        (slope,) = form.linear
-        shifted = AffineForm.of(form.constant - slope * target, slope)
-        integrand = integrand * shifted.as_poly() ** mult
-    (moment,) = _weighted_integrals(inst, [integrand])
+    _, u = _offsets(inst.target)
+    shifted = tuple((AffineForm.of(form.constant - slope * target, slope), mult)
+                    for form, mult in reflected.factors for slope in form.linear)
+    (moment,) = _weighted_integrals(inst, [u + shifted])
     if moment != 0:
         raise ContractError(f"multiplier moment must vanish, got {moment} for n={n}, p={p}")
     return MHCertificate(reflected, moment, minima)

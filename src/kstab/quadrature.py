@@ -1,4 +1,5 @@
-"""Exact integration of polynomials over segments, triangles, and polygons.
+"""Exact integration of polynomials and factored weights over segments,
+triangles, and polygons.
 
 Segments and triangles are simplices, and one vertex formula integrates a
 polynomial over either (Baldoni, Berline, De Loera, Köppe and Vergne, "How to
@@ -11,6 +12,17 @@ where h_ij is the coefficient of s^i t^j in the product over the vertices
 of 1 / (1 - x_v s - y_v t).  Only the vertex coordinates enter: there is no
 change of variables.  Polygons are fan-triangulated.
 
+``integrate_factored`` takes a weight kept as c * prod l_j^m_j and is the one
+place that tells a segment from a polygon.  Over a segment [lo, hi] it applies
+the same formula with d = 1 to the affine factors instead of monomials, and
+never multiplies them out: with u_j = l_j(lo), v_j = l_j(hi) and M = sum m_j,
+
+    integral  =  c (hi - lo) / (M+1)! * sum_K K! (M-K)! b_K,
+
+where b is the convolution over j of the sequences C(m_j, k) u_j^(m_j-k) v_j^k,
+k = 0..m_j.  Over a polygon the weight is expanded first; every
+two-dimensional family weight is a monomial, so that costs a few terms.
+
 Everything is a pure function of exact rationals; nothing here rounds.
 """
 
@@ -19,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .errors import ContractError, InvalidParameterError, ZeroMassError
-from .poly import Poly1, Poly2
+from .poly import FactoredWeight, Poly1, Poly2
 from .polytope import Point, Polygon, Segment, Triangle, triangulate
 
 
@@ -66,6 +78,34 @@ def integrate_poly1(f: Poly1, segment: Segment) -> Fraction:
     return _integrate_simplex(terms, ((lo, Fraction(0)), (hi, Fraction(0))), hi - lo)
 
 
+def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fraction:
+    """Integral of a factored weight over [lo, hi] from each factor's values
+    at the two ends: the factored vertex formula with d = 1.
+
+    Each factor's two values are put over their common denominator d_j, so
+    the convolution runs in ints and divides by the product of d_j^m_j once.
+    """
+    lo, hi = segment.lo, segment.hi
+    b, den = [1], 1
+    for form, mult in weight.factors:
+        u, v = form.evaluate((lo,)), form.evaluate((hi,))
+        d = lcm(u.denominator, v.denominator)
+        du, dv = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator)
+        u_pows, v_pows = [1], [1]
+        for _ in range(mult):
+            u_pows.append(u_pows[-1] * du)
+            v_pows.append(v_pows[-1] * dv)
+        seq = [comb(mult, k) * u_pows[mult - k] * v_pows[k] for k in range(mult + 1)]
+        conv = [0] * (len(b) + mult)
+        for i, bi in enumerate(b):
+            for k, sk in enumerate(seq):
+                conv[i + k] += bi * sk
+        b, den = conv, den * d**mult
+    top = len(b) - 1
+    total = sum(factorial(k) * factorial(top - k) * bk for k, bk in enumerate(b))
+    return weight.prefactor * (hi - lo) * Fraction(total, factorial(top + 1) * den)
+
+
 @lru_cache(maxsize=None)
 def integrate_monomial_simplex(a: int, b: int) -> Fraction:
     """Integral of x^a y^b over the standard simplex {x, y >= 0, x + y <= 1}."""
@@ -88,6 +128,13 @@ def integrate_poly2_polygon(f: Poly2, polygon: Polygon) -> Fraction:
     for tri in triangulate(polygon):
         total += integrate_poly2_triangle(f, tri)
     return total
+
+
+def integrate_factored(weight: FactoredWeight, domain: Segment | Polygon) -> Fraction:
+    """Integral of a factored weight over a segment or a polygon."""
+    if isinstance(domain, Segment):
+        return _integrate_factored_segment(weight, domain)
+    return integrate_poly2_polygon(weight.expand(), domain)
 
 
 @dataclass(frozen=True)

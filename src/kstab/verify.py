@@ -373,7 +373,7 @@ def _cli_determinism_check() -> CheckResult:
     from . import cli  # local import; cli depends on this module
 
     def rerun_identical(fmt):
-        args = ["ke", "--family", "blpp", "--n", "4..8", "--p", "all", "--format", fmt]
+        args = ["ke", "--family", "blpp", "--n", "4..8", "--p", "all", "--format", fmt, "--jobs", "1"]
         if cli.render_to_string(args) != cli.render_to_string(args):
             yield f"{fmt} output differs between identical runs"
 

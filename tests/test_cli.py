@@ -82,6 +82,19 @@ class TestExitCodes:
         assert main(["ke", "--family", "blpp", "--n", "9..5"]) == 1
         assert "field --n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["mh", "--n", "4", "--p", "-2..1"], 1, "field --p: out of range for every requested n"),
+        (["ke", "--family", "blpp", "--n", "-3..-1"], 1, "field --n: every requested n is below"),
+        (["coupled", "--k", "-1..1"], 1, "field --k: must reach at least 2"),
+        (["ke", "--family", "quade", "--n", "-x"], 1, "field --n: cannot parse range '-x'"),
+        (["dump-instance", "--family", "blpp", "--n", "5", "--p", "2", "--divisor", "-1/2,1,1"],
+         2, "segment [1/2, -1/2] is empty"),
+    ])
+    def test_value_starting_with_minus_reaches_its_parser(self, capsys, args, code, message):
+        assert main(args + ["--jobs", "1"]) == code
+        err = capsys.readouterr().err
+        assert message in err and "expected one argument" not in err
+
     def test_missing_argument_is_one(self, capsys):
         assert main(["ke", "--family", "blpp"]) == 1
 
@@ -251,7 +264,8 @@ class TestTasks:
         assert "OSError: no semaphores" in err[0] and "serially" in err[0]
 
 
-    def test_pool_is_sized_to_the_work(self, monkeypatch):
+    @staticmethod
+    def _record_pools(monkeypatch) -> list:
         sizes = []
 
         class RecordingPool:
@@ -268,9 +282,21 @@ class TestTasks:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_is_sized_to_the_work(self, monkeypatch):
+        sizes = self._record_pools(monkeypatch)
         args = ["ke", "--family", "blpp", "--n", "4..5", "--p", "all", "--format", "json"]
         assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
         assert sizes == [3]
+
+    def test_verify_starts_no_pool(self, monkeypatch, capsys):
+        sizes = self._record_pools(monkeypatch)
+        monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert main(["verify", "--suite", "properties", "--max-n", "7"]) == 0
+        assert "byte-identical json/csv" in capsys.readouterr().out
+        assert sizes == []
 
 
 class TestNegativeControl:
@@ -309,7 +335,7 @@ _small = st.integers(-1, 6)
 _ranges = st.one_of(
     _ints.map(str),
     st.tuples(_ints, _ints).map(lambda t: f"{t[0]}..{t[1]}"),
-    st.sampled_from(["all", "", "3..", "..4", "1..2..3", "x", " 5 "]),
+    st.sampled_from(["all", "", "3..", "..4", "1..2..3", "x", " 5 ", "-", "-2..", "--1", "-x"]),
 )
 _small_ranges = st.one_of(_small.map(str), st.tuples(_small, _small).map(lambda t: f"{t[0]}..{t[1]}"))
 _coefficients = st.one_of(
@@ -322,7 +348,9 @@ _families = st.sampled_from(sorted(cli._FAMILIES) + ["nope"])
 
 
 def _maybe(flag, values):
-    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+    """No flag, "--flag=value", or "--flag value" (a value may start with "-")."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]),
+                     values.map(lambda v: [flag, str(v)]))
 
 
 _argvs = st.one_of(

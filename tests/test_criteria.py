@@ -14,7 +14,7 @@ from kstab.errors import (
     NotAnticanonicalError,
 )
 from kstab.families import FamilyTag, blpp_resolve, resolve_anticanonical
-from kstab.poly import Poly1
+from kstab.poly import FactoredWeight, Poly1
 from kstab.polytope import Segment
 from kstab.quadrature import integrate_poly1, moments, moments1
 
@@ -313,3 +313,27 @@ class TestCoupledSearch:
         outside = (F(20), F(1, 2), F(0))  # complement coefficient is negative
         with pytest.raises(ContractError):
             criteria.coupled_search(6, start, outside, max_bisections=8)
+
+
+class TestSegmentWeightsStayFactored:
+    def test_no_segment_criterion_expands_a_weight(self, monkeypatch):
+        members = [(6, 3), (9, 4), (24, 7)]
+        expanded = {}
+        for n, p in members:
+            inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
+            expanded[n, p] = moments1(inst.weight.expand(), inst.domain)
+
+        def refuse(self):
+            raise AssertionError("a segment weight was multiplied out")
+
+        monkeypatch.setattr(FactoredWeight, "expand", refuse)
+        for n, p in members:
+            inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
+            mass, first = expanded[n, p]
+            verdict = criteria.ke_classify(inst)
+            assert (verdict.mass, verdict.barycenter) == (mass, (first / mass,))
+            criteria.mabuchi(inst)
+            assert criteria.mh_certificate(n, p).moment_integral == 0
+        for k in (2, 5):
+            start, _ = criteria.coupled_default_endpoints(k)
+            assert criteria.coupled_residual(k, start) > 0

@@ -5,13 +5,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab.errors import ZeroMassError
 from kstab.families import FamilyTag, resolve_anticanonical
-from kstab.poly import Poly1, Poly2
+from kstab.poly import AffineForm, FactoredWeight, Poly1, Poly2
 from kstab.polytope import HalfPlane, Polygon, Segment, Triangle, polygon_from_halfplanes
 from kstab.quadrature import (
     barycenter,
+    integrate_factored,
     integrate_monomial_simplex,
     integrate_poly1,
     integrate_poly2_polygon,
@@ -119,6 +122,58 @@ class TestIntegratePoly1:
         assert integrate_poly1(Poly1.from_coeffs(coeffs), Segment.of(lo, hi)) == _integ_coeffs(
             coeffs, lo, hi
         )
+
+
+# ---------------------------------------------------------------------------
+# Factored weights over segments
+# ---------------------------------------------------------------------------
+
+_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 7))
+
+
+@st.composite
+def _factored_on_segment(draw):
+    """A factored weight of 1-4 affine forms and a segment, zero length
+    allowed; a form may vanish at an end or at an interior point."""
+    lo = draw(_rationals)
+    hi = lo + draw(st.one_of(st.just(F(0)), _rationals.map(abs)))
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        slope = draw(_rationals)
+        root = draw(st.sampled_from([lo, hi, (lo + 2 * hi) / 3, None]))
+        constant = draw(_rationals) if root is None else -slope * root
+        factors.append((AffineForm.of(constant, slope), draw(st.integers(0, 12))))
+    return FactoredWeight.of(draw(_rationals), factors), Segment.of(lo, hi)
+
+
+class TestIntegrateFactored:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_factored_on_segment())
+    def test_segment_matches_expanded_weight(self, case):
+        weight, segment = case
+        expanded = weight.expand()
+        value = integrate_factored(weight, segment)
+        assert value == integrate_poly1(expanded, segment)
+        assert value == _integ_coeffs(expanded.coeffs, segment.lo, segment.hi)
+
+    def test_sign_change_inside(self):
+        # (t - 1)^3 over [0, 3] is (2^4 - 1) / 4
+        weight = FactoredWeight.of(1, [(AffineForm.of(-1, 1), 3)])
+        assert integrate_factored(weight, Segment.of(0, 3)) == F(15, 4)
+
+    def test_no_factors_is_length_times_prefactor(self):
+        weight = FactoredWeight.of(F(3, 2), [], nvars=1)
+        assert integrate_factored(weight, Segment.of(F(-1, 3), 2)) == F(7, 2)
+
+    def test_blpp_weight_at_high_degree(self):
+        inst = resolve_anticanonical(FamilyTag.BLPP, 80, 33)
+        assert integrate_factored(inst.weight, inst.domain) == integrate_poly1(
+            inst.weight.expand(), inst.domain)
+
+    def test_polygon_expands_and_integrates_by_triangles(self):
+        inst = resolve_anticanonical(FamilyTag.BLQQ, 9, 4)
+        assert integrate_factored(inst.weight, inst.domain) == integrate_poly2_polygon(
+            inst.weight.expand(), inst.domain)
 
 
 # ---------------------------------------------------------------------------
