@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -348,9 +347,17 @@ def _coupled_result(task: Task) -> tuple[str, dict]:
 
 def _execute_tasks(tasks: list[Task], jobs: int) -> list[dict]:
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool pulls in multiprocessing, logging and
+        # socket, which a serial run would pay for at every start
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(jobs, len(tasks))
+        # a few chunks per worker rather than one round trip per row; map
+        # keeps the rows in task order
+        chunksize = max(1, len(tasks) // (4 * workers))
         try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                return list(pool.map(_run_task, tasks))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_run_task, tasks, chunksize=chunksize))
         except OSError as exc:
             print(f"kstab: worker pool unavailable ({type(exc).__name__}: {exc}); running serially",
                   file=sys.stderr)

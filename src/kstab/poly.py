@@ -83,6 +83,13 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise InvalidParameterError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n_i and one den > 0 with values[i] == n_i / den."""
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // q) for v, q in zip(values, dens)], den
+
+
 # ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------

@@ -2,10 +2,18 @@
 
 Polygons are stored simultaneously as a strictly convex counterclockwise
 vertex cycle and as a redundancy-free list of halfplanes; the two views are
-kept consistent by construction.  Vertex enumeration is done by pairwise
-line intersection with feasibility filtering, which is quadratic in the
-constraint count and entirely adequate for the handful of constraints this
-package ever sees.
+kept consistent by construction.
+
+The exact kernels run in Python ints.  A halfplane is kept as coprime
+integers (a, b, c), so vertex enumeration is homogeneous: two boundary lines
+meet in the integer triple (X, Y, D) with D > 0 and gcd(X, Y, D) = 1, which
+is unique for the point (X/D, Y/D) and so deduplicates exactly, and the
+point satisfies a halfplane when a*X + b*Y <= c*D.  Enumerating every pair
+and filtering is quadratic in the constraint count, which is entirely
+adequate for the handful of constraints this package ever sees.  Only the
+surviving vertices become Fractions.  Orientation tests and edge halfplanes
+put their points over one common denominator and build one Fraction, or
+none, per result.
 
 Degenerate inputs are rejected loudly: an empty, unbounded, or
 lower-dimensional intersection raises a dedicated error rather than
@@ -25,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     UnboundedRegionError,
 )
-from .poly import RationalLike, _as_fraction
+from .poly import RationalLike, _as_fraction, _over_common_denominator
 
 Point = tuple[Fraction, Fraction]
 
@@ -75,12 +83,10 @@ class HalfPlane:
 
     @staticmethod
     def of(a: RationalLike, b: RationalLike, c: RationalLike) -> "HalfPlane":
-        fa, fb, fc = _as_fraction(a), _as_fraction(b), _as_fraction(c)
-        if fa == 0 and fb == 0:
+        (ia, ib, ic), _ = _over_common_denominator([_as_fraction(v) for v in (a, b, c)])
+        if ia == 0 and ib == 0:
             raise InvalidParameterError("halfplane normal must be nonzero")
-        scale = Fraction(_lcm3(fa.denominator, fb.denominator, fc.denominator))
-        ia, ib, ic = int(fa * scale), int(fb * scale), int(fc * scale)
-        g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
+        g = gcd(ia, ib, ic)
         return HalfPlane(Fraction(ia // g), Fraction(ib // g), Fraction(ic // g))
 
     def holds_at(self, point: Sequence[RationalLike]) -> bool:
@@ -92,14 +98,14 @@ class HalfPlane:
         return self.c - (self.a * x + self.b * y)
 
 
-def _lcm3(a: int, b: int, c: int) -> int:
-    ab = a * b // gcd(a, b)
-    return ab * c // gcd(ab, c)
-
-
 def _cross(o: Point, p: Point, q: Point) -> Fraction:
-    """Twice the signed area of triangle (o, p, q); > 0 for a left turn."""
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+    """Twice the signed area of triangle (o, p, q); > 0 for a left turn.
+
+    The integer determinant of the three points over their common
+    denominator, divided once by its square.
+    """
+    (ox, oy, px, py, qx, qy), den = _over_common_denominator((*o, *p, *q))
+    return Fraction((px - ox) * (qy - oy) - (py - oy) * (qx - ox), den * den)
 
 
 @dataclass(frozen=True)
@@ -178,10 +184,12 @@ def _rotate_to_lex_min(vs: list[Point]) -> list[Point]:
 
 
 def _edge_halfplane(v: Point, w: Point) -> HalfPlane:
-    # Outward normal of a counterclockwise edge v -> w.
-    ex, ey = w[0] - v[0], w[1] - v[1]
-    a, b = ey, -ex
-    return HalfPlane.of(a, b, a * v[0] + b * v[1])
+    # Outward normal of a counterclockwise edge v -> w, in integers: with
+    # every coordinate over den, the normal is (a, b)/den and the offset
+    # (a*vx + b*vy)/den^2, so multiplying through by den^2 clears both.
+    (vx, vy, wx, wy), den = _over_common_denominator((*v, *w))
+    a, b = wy - vy, vx - wx
+    return HalfPlane.of(a * den, b * den, a * vx + b * vy)
 
 
 def _convex_hull(points: list[Point]) -> list[Point]:
@@ -213,65 +221,62 @@ def polygon_from_halfplanes(halfplanes: Iterable[HalfPlane]) -> Polygon:
     if not planes:
         raise UnboundedRegionError("no constraints: the whole plane is unbounded")
 
-    normals = [(hp.a, hp.b) for hp in planes]
-    if _all_parallel(normals):
-        _classify_parallel_strip(planes)
+    # HalfPlane.of stores coprime integers, so each plane is its numerators.
+    rows = [(hp.a.numerator, hp.b.numerator, hp.c.numerator) for hp in planes]
+    a0, b0, _ = rows[0]
+    if all(a0 * b - b0 * a == 0 for a, b, _ in rows[1:]):
+        _classify_parallel_strip(rows)
 
-    candidates: list[Point] = []
-    m = len(planes)
-    for i in range(m):
-        for j in range(i + 1, m):
-            pt = _line_intersection(planes[i], planes[j])
-            if pt is not None:
-                candidates.append(pt)
-    feasible = [p for p in set(candidates) if all(hp.holds_at(p) for hp in planes)]
+    corners: set[tuple[int, int, int]] = set()
+    for i, (a1, b1, c1) in enumerate(rows):
+        for a2, b2, c2 in rows[i + 1:]:
+            det = a1 * b2 - b1 * a2
+            if det == 0:
+                continue
+            x, y = c1 * b2 - b1 * c2, a1 * c2 - c1 * a2
+            if det < 0:
+                x, y, det = -x, -y, -det
+            g = gcd(x, y, det)
+            corners.add((x // g, y // g, det // g))
+    feasible = [(x, y, d) for x, y, d in corners if all(a * x + b * y <= c * d for a, b, c in rows)]
     if not feasible:
         # Normals are not all parallel, so a nonempty region would have a vertex.
         raise EmptyRegionError("halfplane intersection is empty")
 
-    for hp in planes:
-        for d in ((-hp.b, hp.a), (hp.b, -hp.a)):
-            if all(n[0] * d[0] + n[1] * d[1] <= 0 for n in normals):
+    for a, b, _ in rows:
+        for dx, dy in ((-b, a), (b, -a)):
+            if all(na * dx + nb * dy <= 0 for na, nb, _ in rows):
+                direction = (Fraction(dx), Fraction(dy))
                 raise UnboundedRegionError(
-                    f"halfplane intersection is unbounded in direction {d}"
+                    f"halfplane intersection is unbounded in direction {direction}"
                 )
 
-    hull = _convex_hull(feasible)
+    hull = _convex_hull([(Fraction(x, d), Fraction(y, d)) for x, y, d in feasible])
     if len(hull) < 3:
         raise DegenerateRegionError("halfplane intersection is not full-dimensional")
     return Polygon.from_vertices(hull)
 
 
-def _all_parallel(normals: list[tuple[Fraction, Fraction]]) -> bool:
-    first = normals[0]
-    return all(first[0] * n[1] - first[1] * n[0] == 0 for n in normals[1:])
+def _classify_parallel_strip(rows: list[tuple[int, int, int]]) -> None:
+    """All normals parallel: the region is empty or contains a line.
 
-
-def _classify_parallel_strip(planes: list[HalfPlane]) -> None:
-    """All normals parallel: the region is empty or contains a line."""
-    ux, uy = planes[0].a, planes[0].b
-    norm2 = ux * ux + uy * uy
+    Along the first normal u, a plane with normal lam * u bounds u.x by
+    c / lam, above if lam > 0 and below otherwise; lam has the sign of
+    (a, b).u, and c / ((a, b).u) orders the bounds as c / lam does.
+    """
+    ux, uy, _ = rows[0]
     lower: Fraction | None = None
     upper: Fraction | None = None
-    for hp in planes:
-        lam = (hp.a * ux + hp.b * uy) / norm2
-        bound = hp.c / lam
-        if lam > 0:
+    for a, b, c in rows:
+        dot = a * ux + b * uy
+        bound = Fraction(c, dot)
+        if dot > 0:
             upper = bound if upper is None else min(upper, bound)
         else:
             lower = bound if lower is None else max(lower, bound)
     if lower is not None and upper is not None and lower > upper:
         raise EmptyRegionError("halfplane intersection is empty")
     raise UnboundedRegionError("halfplane intersection contains a line")
-
-
-def _line_intersection(p: HalfPlane, q: HalfPlane) -> Point | None:
-    det = p.a * q.b - p.b * q.a
-    if det == 0:
-        return None
-    x = (p.c * q.b - p.b * q.c) / det
-    y = (p.a * q.c - p.c * q.a) / det
-    return (x, y)
 
 
 def contains(polygon: Polygon, point: Sequence[RationalLike]) -> bool:

@@ -35,7 +35,7 @@ from math import comb, factorial, lcm
 from typing import Sequence
 
 from .errors import ContractError, InvalidParameterError, ZeroMassError
-from .poly import FactoredWeight, Poly1, Poly2
+from .poly import FactoredWeight, Poly1, Poly2, _over_common_denominator
 from .polytope import Point, Polygon, Segment, Triangle, triangulate
 
 
@@ -45,30 +45,35 @@ def _integrate_simplex(
     """Integral of the sum of c x^i y^j, (i, j, c) in ``terms``, over the
     simplex with these vertices; ``scale`` is d! times its volume.
 
-    h is built in integers over the vertices' common denominator, one vertex
-    at a time: dividing by 1 - x s - y t is h[i][j] += x h[i-1][j] + y h[i][j-1].
+    Everything runs in integers, with one division per simplex.  h is built
+    over the vertices' common denominator den, one vertex at a time: dividing
+    by 1 - x s - y t is h[i][j] += x h[i-1][j] + y h[i][j-1].  Each term's
+    i! j! h_ij / ((i+j+d)! den^(i+j)) is then put over the one denominator
+    lc (top+d)! den^top, where top is the largest degree and lc the lcm of the
+    coefficients' denominators, and the numerators are summed.
     """
     if not terms:
         return Fraction(0)
     d = len(vertices) - 1
-    den = lcm(*(c.denominator for v in vertices for c in v))
+    coords, den = _over_common_denominator([c for v in vertices for c in v])
     top = max(i + j for i, j, _ in terms)
     dy = max(j for _, j, _ in terms)
     h = [[0] * (min(dy, top - i) + 1) for i in range(max(i for i, _, _ in terms) + 1)]
     h[0][0] = 1
-    for vx, vy in vertices:
-        x, y = int(vx * den), int(vy * den)
+    for x, y in zip(coords[::2], coords[1::2]):
         for i, row in enumerate(h):
             prev = h[i - 1] if i else [0] * len(row)
             row[0] += x * prev[0]
             for j in range(1, len(row)):
                 row[j] += x * prev[j] + y * row[j - 1]
-    total = Fraction(0)
+    lc = lcm(*(c.denominator for _, _, c in terms))
+    full = factorial(top + d)
+    total = 0
     for i, j, c in terms:
-        total += c * Fraction(
-            factorial(i) * factorial(j) * h[i][j], factorial(i + j + d) * den ** (i + j)
-        )
-    return scale * total
+        k = i + j
+        total += (c.numerator * (lc // c.denominator) * factorial(i) * factorial(j) * h[i][j]
+                  * (full // factorial(k + d)) * den ** (top - k))
+    return Fraction(scale.numerator * total, scale.denominator * lc * full * den**top)
 
 
 def integrate_poly1(f: Poly1, segment: Segment) -> Fraction:
@@ -88,9 +93,7 @@ def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fra
     lo, hi = segment.lo, segment.hi
     b, den = [1], 1
     for form, mult in weight.factors:
-        u, v = form.evaluate((lo,)), form.evaluate((hi,))
-        d = lcm(u.denominator, v.denominator)
-        du, dv = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator)
+        (du, dv), d = _over_common_denominator((form.evaluate((lo,)), form.evaluate((hi,))))
         u_pows, v_pows = [1], [1]
         for _ in range(mult):
             u_pows.append(u_pows[-1] * du)

@@ -1,9 +1,12 @@
 """Command-line surface: formats, determinism, exit codes, worker pool."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
 import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -257,7 +260,7 @@ class TestTasks:
         def no_pool(*_args, **_kwargs):
             raise OSError("no semaphores")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert render_to_string(args + ["--jobs", "2"]) == serial
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -265,8 +268,9 @@ class TestTasks:
 
 
     @staticmethod
-    def _record_pools(monkeypatch) -> list:
-        sizes = []
+    def _record_pools(monkeypatch) -> tuple[list, list]:
+        """Fake pools record their size and the chunk size of each map."""
+        sizes, chunks = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -278,20 +282,42 @@ class TestTasks:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
+                assert isinstance(chunksize, int) and chunksize >= 1
+                chunks.append(chunksize)
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        return sizes
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes, chunks
 
     def test_pool_is_sized_to_the_work(self, monkeypatch):
-        sizes = self._record_pools(monkeypatch)
+        sizes, _ = self._record_pools(monkeypatch)
         args = ["ke", "--family", "blpp", "--n", "4..5", "--p", "all", "--format", "json"]
         assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
         assert sizes == [3]
 
+    def test_rows_go_to_the_pool_in_chunks(self, monkeypatch):
+        # 45 rows on 2 workers: four chunks a worker is 45 // 8 = 5 rows each;
+        # 3 rows on 3 workers cannot be split below one row
+        sizes, chunks = self._record_pools(monkeypatch)
+        for top, jobs in ((12, 2), (5, 64)):
+            render_to_string(["ke", "--family", "blpp", "--n", f"4..{top}", "--p", "all",
+                              "--format", "json", "--jobs", str(jobs)])
+        assert sizes == [2, 3] and chunks == [5, 1]
+
+    def test_chunked_pool_keeps_row_order(self):
+        args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "csv"]
+        assert render_to_string(args + ["--jobs", "2"]) == render_to_string(args + ["--jobs", "1"])
+
+    def test_import_starts_no_pool_machinery(self):
+        # a fresh interpreter: this one has imported concurrent.futures already
+        code = "import sys, kstab.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=SRC_DIR.parent)
+        assert out.stdout.strip() == "False"
+
     def test_verify_starts_no_pool(self, monkeypatch, capsys):
-        sizes = self._record_pools(monkeypatch)
+        sizes, _ = self._record_pools(monkeypatch)
         monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert main(["verify", "--suite", "properties", "--max-n", "7"]) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab.errors import ZeroMassError
+from kstab.errors import ContractError, ZeroMassError
 from kstab.families import FamilyTag, resolve_anticanonical
 from kstab.poly import AffineForm, FactoredWeight, Poly1, Poly2
 from kstab.polytope import HalfPlane, Polygon, Segment, Triangle, polygon_from_halfplanes
@@ -195,6 +195,53 @@ class TestSimplexMoments:
         coeffs = [F(0)] * 2 + inner  # multiply by x^2
         assert _integ_coeffs(coeffs, 0, 1) == F(1, 420)
         assert integrate_monomial_simplex(2, 3) == F(1, 420)
+
+
+_terms = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7),
+              st.builds(F, st.integers(-30, 30), st.integers(1, 40))),
+    min_size=1, max_size=6,
+)
+_leg = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+class TestSimplexTermSum:
+    """The integer term sum against the closed form on the standard simplex.
+
+    Over the right triangle with legs r and s on the axes, x = r u and y = s v
+    turn the integral of x^i y^j into |r s| r^i s^j times that of u^i v^j over
+    the standard simplex, which ``integrate_monomial_simplex`` gives as
+    i! j! / (i+j+2)!.  Terms of mixed degrees and coefficient denominators,
+    over legs with their own denominators, exercise every factor of the one
+    common denominator.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_terms, _leg, _leg)
+    def test_matches_monomial_closed_form(self, terms, r, s):
+        f = Poly2.from_terms(terms)
+        expected = sum((c * abs(r * s) * r**i * s**j * integrate_monomial_simplex(i, j)
+                        for i, j, c in f.terms), F(0))
+        assert integrate_poly2_triangle(f, Triangle.of((0, 0), (r, 0), (0, s))) == expected
+
+    def test_mixed_denominators_by_hand(self):
+        # 1/2 + x/3 - (5/7) x y^2 over the standard simplex:
+        # 1/2 * 1/2 + 1/3 * 1/6 - 5/7 * 2/120 = 1/4 + 1/18 - 1/84
+        f = Poly2.from_terms([(0, 0, F(1, 2)), (1, 0, F(1, 3)), (1, 2, F(-5, 7))])
+        tri = Triangle.of((0, 0), (1, 0), (0, 1))
+        assert integrate_poly2_triangle(f, tri) == F(1, 4) + F(1, 18) - F(1, 84)
+
+    def test_zero_polynomial_integrates_to_zero(self):
+        tri = Triangle.of((0, 0), (F(1, 3), 0), (0, F(2, 5)))
+        assert integrate_poly2_triangle(Poly2.from_terms([]), tri) == 0
+
+    def test_degenerate_triangle_is_a_contract_breach(self):
+        # Triangle.of refuses this; a triangle built around it must not
+        # reach the integrator, whatever the polynomial
+        flat = Triangle(((F(0), F(0)), (F(1), F(1)), (F(2), F(2))))
+        for f in (Poly2.from_terms([]), Poly2.monomial(1, 2)):
+            with pytest.raises(ContractError):
+                integrate_poly2_triangle(f, flat)
 
 
 class TestTriangleIntegration:
