@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -97,9 +98,15 @@ def _offsets(origin: Sequence[Fraction]) -> list[Factors]:
     return [()] + [((AffineForm.of(-o, *unit), 1),) for o, unit in zip(origin, axes)]
 
 
+@lru_cache(maxsize=None)
 def instance_moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Weight mass and barycenter (a 1- or 2-vector) of an instance domain;
-    requires nonzero mass."""
+    requires nonzero mass.
+
+    Memoized per process: a ``FamilyInstance`` is a frozen tree of tuples
+    and hashes by value, so every criterion that asks for an equal member
+    reads one integration.
+    """
     mass, *firsts = _weighted_integrals(inst, _offsets((Fraction(0),) * len(inst.target)))
     if mass == 0:
         raise ZeroMassError("weight has zero mass on the instance domain")

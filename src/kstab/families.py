@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .errors import InvalidParameterError, WeightPositivityError
@@ -165,18 +166,32 @@ def resolve(
     """Resolve a family member and divisor class into criterion inputs.
 
     ``divisor=None`` means the anticanonical class; blqq accepts no other.
+    Results are memoized per process by value: the arguments are validated
+    and the divisor normalized to a tuple of Fractions first, so equal
+    classes share one instance, and an invalid argument raises on every call.
     """
     check_params(tag, n, p)
-    if tag is FamilyTag.BLQQ:
-        inst = blqq_resolve(n, p)
-        if divisor is not None and _as_divisor(divisor, 2, "blqq") != inst.divisor:
-            raise InvalidParameterError("blqq exposes only the anticanonical divisor")
-        return inst
+    anticanonical = FAMILY_DATA[tag].anticanonical(n, p)
     if divisor is None:
-        divisor = anticanonical_divisor(tag, n, p)
+        divisor = anticanonical
+    else:
+        divisor = _as_divisor(divisor, len(anticanonical), tag.value)
+        if tag is FamilyTag.BLQQ and divisor != anticanonical:
+            raise InvalidParameterError("blqq exposes only the anticanonical divisor")
+    return _resolve(tag, n, p, divisor)
+
+
+@lru_cache(maxsize=None)
+def _resolve(tag: FamilyTag, n: int, p: int | None, divisor: Divisor) -> FamilyInstance:
+    if tag is FamilyTag.BLQQ:
+        return blqq_resolve(n, p)
     if tag is FamilyTag.BLPP:
         return blpp_resolve(n, p, divisor)
     return quad_resolve(tag, n, divisor)
+
+
+# Lets a caller that must recompute, such as a determinism check, empty the memo.
+resolve.cache_clear = _resolve.cache_clear  # type: ignore[attr-defined]
 
 
 def resolve_anticanonical(tag: FamilyTag, n: int, p: int | None = None) -> FamilyInstance:

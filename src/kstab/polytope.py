@@ -10,10 +10,14 @@ meet in the integer triple (X, Y, D) with D > 0 and gcd(X, Y, D) = 1, which
 is unique for the point (X/D, Y/D) and so deduplicates exactly, and the
 point satisfies a halfplane when a*X + b*Y <= c*D.  Enumerating every pair
 and filtering is quadratic in the constraint count, which is entirely
-adequate for the handful of constraints this package ever sees.  Only the
-surviving vertices become Fractions.  Orientation tests and edge halfplanes
-put their points over one common denominator and build one Fraction, or
-none, per result.
+adequate for the handful of constraints this package ever sees.  The hull
+of the feasible triples is taken in integers too, with the 3x3 determinant
+as the orientation test, and each of its edges takes the input plane that
+is tight at both ends as its halfplane; the result is strictly convex by
+construction and is not re-validated.  Only the hull vertices become
+Fractions.  Elsewhere, orientation tests and edge halfplanes put their
+points over one common denominator and build one Fraction, or none, per
+result.
 
 Degenerate inputs are rejected loudly: an empty, unbounded, or
 lower-dimensional intersection raises a dedicated error rather than
@@ -36,6 +40,8 @@ from .errors import (
 from .poly import RationalLike, _as_fraction, _over_common_denominator
 
 Point = tuple[Fraction, Fraction]
+# A point (X/D, Y/D) in homogeneous integers, D > 0 and gcd(X, Y, D) = 1.
+Triple = tuple[int, int, int]
 
 
 def make_point(x: RationalLike, y: RationalLike) -> Point:
@@ -192,19 +198,30 @@ def _edge_halfplane(v: Point, w: Point) -> HalfPlane:
     return HalfPlane.of(a * den, b * den, a * vx + b * vy)
 
 
-def _convex_hull(points: list[Point]) -> list[Point]:
-    """Strict convex hull (collinear boundary points dropped), counterclockwise."""
-    pts = sorted(set(points))
+def _orientation(p: Triple, q: Triple, r: Triple) -> int:
+    """The 3x3 determinant of three homogeneous triples (X, Y, D) with D > 0.
+
+    It is D_p D_q D_r times the doubled signed area of the points (X/D, Y/D),
+    so its sign is the orientation: > 0 for a left turn.
+    """
+    (px, py, pd), (qx, qy, qd), (rx, ry, rd) = p, q, r
+    return px * (qy * rd - qd * ry) - py * (qx * rd - qd * rx) + pd * (qx * ry - qy * rx)
+
+
+def _convex_hull(pts: list[Triple]) -> list[Triple]:
+    """Strict convex hull (collinear boundary points dropped) of distinct
+    homogeneous points sorted by their affine point, counterclockwise from
+    the first."""
     if len(pts) <= 2:
         return pts
-    lower: list[Point] = []
+    lower: list[Triple] = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and _orientation(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[Point] = []
+    upper: list[Triple] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and _orientation(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
@@ -227,7 +244,7 @@ def polygon_from_halfplanes(halfplanes: Iterable[HalfPlane]) -> Polygon:
     if all(a0 * b - b0 * a == 0 for a, b, _ in rows[1:]):
         _classify_parallel_strip(rows)
 
-    corners: set[tuple[int, int, int]] = set()
+    corners: set[Triple] = set()
     for i, (a1, b1, c1) in enumerate(rows):
         for a2, b2, c2 in rows[i + 1:]:
             det = a1 * b2 - b1 * a2
@@ -251,10 +268,17 @@ def polygon_from_halfplanes(halfplanes: Iterable[HalfPlane]) -> Polygon:
                     f"halfplane intersection is unbounded in direction {direction}"
                 )
 
-    hull = _convex_hull([(Fraction(x, d), Fraction(y, d)) for x, y, d in feasible])
+    points = {t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])) for t in feasible}
+    hull = _convex_hull(sorted(feasible, key=points.__getitem__))
     if len(hull) < 3:
         raise DegenerateRegionError("halfplane intersection is not full-dimensional")
-    return Polygon.from_vertices(hull)
+    # Each hull edge lies on an input plane tight at both of its ends; that
+    # plane is coprime and outward already, so it is the edge's halfplane.
+    edges = []
+    for (x1, y1, d1), (x2, y2, d2) in zip(hull, hull[1:] + hull[:1]):
+        edges.append(next(hp for hp, (a, b, c) in zip(planes, rows)
+                          if a * x1 + b * y1 == c * d1 and a * x2 + b * y2 == c * d2))
+    return Polygon(tuple(points[t] for t in hull), tuple(edges))
 
 
 def _classify_parallel_strip(rows: list[tuple[int, int, int]]) -> None:

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 from . import criteria
 from .criteria import KEStatus, MabuchiStatus
 from .errors import InvalidParameterError, KstabError
-from .families import FamilyTag, resolve_anticanonical
+from .families import FamilyTag, resolve, resolve_anticanonical
 from .poly import Poly2, rational_to_str
 from .polytope import HalfPlane, Polygon, fan_triangles, polygon_from_halfplanes
 from .quadrature import integrate_poly2_polygon, integrate_poly2_triangle
@@ -372,9 +372,15 @@ def check_quadrature_properties(max_n: int, cases: int = 200, seed: int = 202402
 def _cli_determinism_check() -> CheckResult:
     from . import cli  # local import; cli depends on this module
 
+    def render(args):
+        # Empty the memos, so each render resolves and integrates every row afresh.
+        resolve.cache_clear()
+        criteria.instance_moments.cache_clear()
+        return cli.render_to_string(args)
+
     def rerun_identical(fmt):
         args = ["ke", "--family", "blpp", "--n", "4..8", "--p", "all", "--format", fmt, "--jobs", "1"]
-        if cli.render_to_string(args) != cli.render_to_string(args):
+        if render(args) != render(args):
             yield f"{fmt} output differs between identical runs"
 
     return _check(7, "identical runs render byte-identical json/csv",

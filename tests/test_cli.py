@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab import cli, criteria, verify
+from kstab import cli, criteria, families, verify
 from kstab.cli import main, parse_spec, render_to_string
 from kstab.families import FamilyTag, instance_record, resolve_anticanonical
 
@@ -62,7 +62,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_byte_identical_reruns(self, fmt):
         args = ["ke", "--family", "quadpm", "--n", "5..9", "--format", fmt, "--jobs", "1"]
-        assert render_to_string(args) == render_to_string(args)
+        first = render_to_string(args)
+        # the second render recomputes every row, as a fresh process would
+        families.resolve.cache_clear()
+        criteria.instance_moments.cache_clear()
+        assert render_to_string(args) == first
 
     def test_jobs_do_not_change_output(self):
         base = ["mabuchi", "--family", "blpp", "--n", "4..8", "--p", "all", "--format", "json"]
@@ -78,6 +82,44 @@ class TestDeterminism:
             text = render_to_string(["ke"] + family_args + ["--format", "csv", "--jobs", "1"])
             header = text.splitlines()[0]
             assert header.startswith(prefix)
+
+
+class TestMemos:
+    def test_verify_bytes_do_not_depend_on_the_memos(self, monkeypatch):
+        args = ["verify", "--suite", "all", "--max-n", "10", "--format", "json"]
+        memoized = render_to_string(args)
+        for module, name in ((families, "_resolve"), (criteria, "instance_moments")):
+            cached = getattr(module, name)
+
+            def uncached(*call_args, cached=cached):
+                cached.cache_clear()
+                return cached(*call_args)
+
+            uncached.cache_clear = cached.cache_clear
+            monkeypatch.setattr(module, name, uncached)
+        assert render_to_string(args) == memoized
+
+    def test_determinism_check_integrates_in_every_render(self, monkeypatch):
+        calls = []
+        integrate = criteria.integrate_factored
+
+        def counting(weight, domain):
+            calls.append(None)
+            return integrate(weight, domain)
+
+        per_render = []
+        render = cli.render_to_string
+
+        def recording(args):
+            before = len(calls)
+            text = render(args)
+            per_render.append(len(calls) - before)
+            return text
+
+        monkeypatch.setattr(criteria, "integrate_factored", counting)
+        monkeypatch.setattr(cli, "render_to_string", recording)
+        assert verify._cli_determinism_check().passed
+        assert len(per_render) == 4 and all(per_render), per_render
 
 
 class TestExitCodes:

@@ -13,7 +13,7 @@ from kstab.errors import (
     NotAmpleError,
     NotAnticanonicalError,
 )
-from kstab.families import FamilyTag, blpp_resolve, resolve_anticanonical
+from kstab.families import FamilyTag, blpp_resolve, quad_resolve, resolve_anticanonical
 from kstab.poly import FactoredWeight, Poly1
 from kstab.polytope import Segment
 from kstab.quadrature import integrate_poly1, moments, moments1
@@ -313,6 +313,23 @@ class TestCoupledSearch:
         outside = (F(20), F(1, 2), F(0))  # complement coefficient is negative
         with pytest.raises(ContractError):
             criteria.coupled_search(6, start, outside, max_bisections=8)
+
+
+class TestInstanceMomentsMemo:
+    def test_equal_but_distinct_instance_reads_the_memo(self, monkeypatch):
+        pairs = [(blpp_resolve(9, 3, (F(9, 2), F(-1, 2), F(5, 2))),
+                  blpp_resolve(9, 3, [F(9, 2), F(-1, 2), F(5, 2)])),
+                 (quad_resolve(FamilyTag.QUAD_PM, 8, (3, 1, 2)),
+                  quad_resolve(FamilyTag.QUAD_PM, 8, [F(3), 1, 2]))]
+        first = [criteria.instance_moments(a) for a, _ in pairs]
+
+        def refuse(weight, domain):
+            raise AssertionError("an equal instance was integrated again")
+
+        monkeypatch.setattr(criteria, "integrate_factored", refuse)
+        for (a, b), moments_a in zip(pairs, first):
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert criteria.instance_moments(b) == moments_a
 
 
 class TestSegmentWeightsStayFactored:

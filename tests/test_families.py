@@ -146,6 +146,36 @@ class TestQuadResolve:
             resolve(FamilyTag.QUAD_PT, 6, 2, (2, 1))
 
 
+class TestResolveMemo:
+    def test_equal_divisor_spellings_share_one_instance(self):
+        for tag, n, p, divisor in ((FamilyTag.BLPP, 7, 2, (3, 1, 2)),
+                                   (FamilyTag.QUAD_PM, 8, None, (3, 1, 2))):
+            spellings = [list(divisor), tuple(divisor), [F(v) for v in divisor],
+                         (F(divisor[0]), divisor[1], divisor[2])]
+            first = resolve(tag, n, p, spellings[0])
+            assert all(resolve(tag, n, p, d) is first for d in spellings)
+        anticanonical = blpp_anticanonical(7, 2)
+        assert resolve(FamilyTag.BLPP, 7, 2, list(anticanonical)) is resolve(FamilyTag.BLPP, 7, 2)
+        assert resolve_anticanonical(FamilyTag.BLQQ, 9, 4) is resolve(FamilyTag.BLQQ, 9, 4)
+
+    def test_memoized_instance_equals_a_fresh_resolution(self):
+        assert resolve(FamilyTag.BLPP, 7, 2, [3, 1, 2]) == blpp_resolve(7, 2, (3, 1, 2))
+        assert resolve(FamilyTag.QUAD_PT, 8) == quad_resolve(FamilyTag.QUAD_PT, 8, (3, 1))
+
+    @pytest.mark.parametrize("args, error", [
+        ((FamilyTag.BLPP, 6, 5), InvalidParameterError),
+        ((FamilyTag.BLPP, 6, 2, [3, 1.5, 2]), InvalidParameterError),
+        ((FamilyTag.BLPP, 6, 2, [3, [1], 2]), InvalidParameterError),
+        ((FamilyTag.QUAD_E, 6, None, ["2", 3]), InvalidParameterError),
+        ((FamilyTag.BLQQ, 9, 4, [F(7, 2), 2]), InvalidParameterError),
+        ((FamilyTag.BLPP, 4, 2, (2, -1, -1)), EmptyRegionError),
+    ])
+    def test_errors_raise_on_every_call(self, args, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                resolve(*args)
+
+
 class TestDoublingConsistency:
     def test_exceptional_displayed_integrals(self):
         # the doubled domain makes the anticanonical moments equal the

@@ -178,6 +178,8 @@ UNIT_SQUARE = ((-1, 0, 0), (1, 0, 1), (0, -1, 0), (0, 1, 1))
 CASES = {
     "polygon": (_planes(*UNIT_SQUARE), None),
     "duplicate and redundant": (_planes(*UNIT_SQUARE, (2, 0, 2), (1, 1, 5)), None),
+    "duplicated edge plane": (_planes((0, 1, 1), *UNIT_SQUARE, (0, 3, 3)), None),
+    "redundant through a vertex": (_planes((1, 1, 2), *UNIT_SQUARE, (-1, -1, 0)), None),
     "rational": (_planes((F(-1, 2), 0, F(1, 3)), (0, F(-2, 3), 1),
                          (F(3, 4), F(5, 7), F(2, 9))), None),
     "empty strip": (_planes((1, 0, 0), (-1, 0, -1)), EmptyRegionError),
