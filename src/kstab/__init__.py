@@ -27,15 +27,14 @@ from .errors import KstabError
 from .families import (
     FamilyInstance,
     FamilyTag,
-    blpp_anticanonical,
+    anticanonical_divisor,
     blpp_resolve,
     blqq_resolve,
     instance_record,
-    quad_anticanonical,
     quad_resolve,
     resolve_anticanonical,
 )
-from .poly import AffineForm, FactoredWeight, Poly1, Poly2, Rational, beta_int, binomial
+from .poly import AffineForm, FactoredWeight, Poly1, Poly2, Rational, binomial
 from .polytope import (
     HalfPlane,
     Polygon,
@@ -49,7 +48,6 @@ from .quadrature import (
     Moments2,
     barycenter,
     integrate_factored,
-    integrate_monomial_simplex,
     integrate_poly1,
     integrate_poly2_polygon,
     integrate_poly2_triangle,
@@ -80,10 +78,9 @@ __all__ = [
     "Rational",
     "Segment",
     "Triangle",
+    "anticanonical_divisor",
     "barycenter",
-    "beta_int",
     "binomial",
-    "blpp_anticanonical",
     "blpp_resolve",
     "blqq_resolve",
     "contains",
@@ -93,7 +90,6 @@ __all__ = [
     "coupled_search",
     "instance_record",
     "integrate_factored",
-    "integrate_monomial_simplex",
     "integrate_poly1",
     "integrate_poly2_polygon",
     "integrate_poly2_triangle",
@@ -102,7 +98,6 @@ __all__ = [
     "mh_certificate",
     "moments",
     "polygon_from_halfplanes",
-    "quad_anticanonical",
     "quad_resolve",
     "resolve_anticanonical",
     "triangulate",

@@ -33,6 +33,10 @@ from .poly import rational_from_str, rational_to_str
 
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "KSTAB_JOBS"
+# The largest invocation admitted: rows × n of a sweep (n = 2k + 1 for
+# coupled), and --max-n of verify and --bisections of coupled, may not
+# exceed it.  A larger one exits 1 before any row runs.
+MAX_WORK = 50_000
 
 _FAMILIES = {tag.cli_name: tag for tag in FamilyTag}
 
@@ -77,6 +81,8 @@ def _parse_range(text: str, field: str) -> tuple[int, ...]:
         raise SpecError(f"field {field}: cannot parse range {text!r}") from exc
     if hi < lo:
         raise SpecError(f"field {field}: empty range {text!r}")
+    if hi - lo >= MAX_WORK:  # refused before it is built
+        raise SpecError(f"field {field}: range {text!r} has more than {MAX_WORK} values")
     return tuple(range(lo, hi + 1))
 
 
@@ -202,9 +208,23 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
     bisections = getattr(ns, "bisections", 40)
     if bisections < 0:
         raise SpecError("field --bisections: must be nonnegative")
+    if bisections > MAX_WORK:
+        raise SpecError(f"field --bisections: must be at most {MAX_WORK}")
     max_n = getattr(ns, "max_n", 40)
     if ns.command == "verify" and max_n < 7:
         raise SpecError("field --max-n: must be at least 7")
+    if ns.command == "verify" and max_n > MAX_WORK:
+        raise SpecError(f"field --max-n: must be at most {MAX_WORK}")
+    field, rows, top = "--n", 0, 0  # verify and dump-instance run no sweep
+    if ns.command == "coupled":
+        field, rows, top = "--k", len(k_values), 2 * max(k_values) + 1
+    elif ns.command not in ("verify", "dump-instance"):
+        rows = (sum(len(family.p_values(n)) for n in n_values) if p_all
+                else len(n_values) * len(p_values))
+        top = max(n_values)
+    if rows * top > MAX_WORK:
+        raise SpecError(f"field {field}: {rows} rows up to n = {top} exceed the limit "
+                        f"of {MAX_WORK} for rows × n")
 
     jobs = ns.jobs
     if jobs is None:

@@ -98,19 +98,21 @@ def _offsets(origin: Sequence[Fraction]) -> list[Factors]:
     return [()] + [((AffineForm.of(-o, *unit), 1),) for o, unit in zip(origin, axes)]
 
 
-@lru_cache(maxsize=None)
-def instance_moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Weight mass and barycenter (a 1- or 2-vector) of an instance domain;
-    requires nonzero mass.
-
-    Memoized per process: a ``FamilyInstance`` is a frozen tree of tuples
-    and hashes by value, so every criterion that asks for an equal member
-    reads one integration.
-    """
+    requires nonzero mass."""
     mass, *firsts = _weighted_integrals(inst, _offsets((Fraction(0),) * len(inst.target)))
     if mass == 0:
         raise ZeroMassError("weight has zero mass on the instance domain")
     return mass, tuple(f / mass for f in firsts)
+
+
+@lru_cache(maxsize=None)
+def instance_moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """``_moments``, memoized per process: a ``FamilyInstance`` is a frozen
+    tree of tuples and hashes by value, so every criterion that asks for an
+    equal member reads one integration."""
+    return _moments(inst)
 
 
 def instance_barycenter(inst: FamilyInstance) -> tuple[Fraction, ...]:
@@ -330,13 +332,15 @@ def mh_certificate(n: int, p: int) -> MHCertificate:
     strictly positive affine factors on [-1, 1]; taking the multiplier to be
     w(-u) makes u * w(-u) * w(u) odd, so the twisted moment vanishes
     identically and the logarithm of w(-u) is smooth and concave (a sum of
-    logarithms of positive affine forms).  The moment is integrated in t:
-    each factor of w(-u) moves to t by shifting its constant by slope * target.
+    logarithms of positive affine forms).  w(-u) is read off the instance
+    weight: each factor a + b*t becomes (a + b*target) - b*u.  The moment is
+    integrated in t: each factor of w(-u) moves to t by shifting its
+    constant by slope * target.
     """
     inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
     (target,) = inst.target
-    q = n - p
-    reflected = FactoredWeight.of(1, [(AffineForm.of(p, 1), p - 1), (AffineForm.of(q, -1), q - 1)])
+    reflected = FactoredWeight.of(1, [(AffineForm.of(form.evaluate(inst.target), -slope), mult)
+                                      for form, mult in inst.weight.factors for slope in form.linear])
     minima = reflected.factor_minima([(t - target,) for (t,) in inst.domain.vertices])
     if any(m <= 0 for m in minima):
         raise ContractError(f"multiplier factor not positive on [-1, 1] for n={n}, p={p}")
@@ -372,11 +376,16 @@ def _check_coupled_k(k: int) -> None:
         raise InvalidParameterError(f"need k >= 2, got k={k}")
 
 
+def _coupled_anticanonical(k: int) -> Divisor:
+    """The anticanonical class of the coupled member, n = 2k+1 and p = k."""
+    _check_coupled_k(k)
+    return anticanonical_divisor(FamilyTag.BLPP, 2 * k + 1, k)
+
+
 def coupled_complement(k: int, divisor: Sequence[RationalLike]) -> Divisor:
     """The divisor completing the given one to the anticanonical class."""
-    _check_coupled_k(k)
-    c, d_plus, d_minus = (_as_fraction(v) for v in divisor)
-    return (k + Fraction(1, 2) - c, Fraction(1, 2) - d_plus, Fraction(3, 2) - d_minus)
+    return tuple(a - _as_fraction(v)
+                 for a, v in zip(_coupled_anticanonical(k), divisor, strict=True))
 
 
 def coupled_pair_ample(k: int, divisor: Sequence[RationalLike]) -> bool:
@@ -389,23 +398,23 @@ def coupled_residual(k: int, divisor: Sequence[RationalLike]) -> Fraction:
     """Barycenter residual of an anticanonical decomposition.
 
     For the odd-dimensional family member (dims n = 2k+1, p = k), the sum
-    of the two weight barycenters of a divisor and its complement must be
-    exactly 1/2 for a coupled pair to exist; this returns the exact excess.
+    of the two weight barycenters of a divisor and its complement must equal
+    the target, 1/2 for every class, for a coupled pair to exist; this
+    returns the exact excess.
+    Each probe is a new divisor class, so neither member is kept in a memo.
     """
     _check_coupled_k(k)
     n, p = 2 * k + 1, k
     first = blpp_resolve(n, p, divisor)
     second = blpp_resolve(n, p, coupled_complement(k, divisor))
-    return instance_barycenter(first)[0] + instance_barycenter(second)[0] - Fraction(1, 2)
+    return _moments(first)[1][0] + _moments(second)[1][0] - first.target[0]
 
 
 def coupled_default_endpoints(k: int) -> tuple[Divisor, Divisor]:
     """Default search segment: the self-complementary half of the
     anticanonical class, and the far ample corner used to force a negative
     residual."""
-    _check_coupled_k(k)
-    n = 2 * k + 1
-    start = (Fraction(n, 4), Fraction(1, 4), Fraction(3, 4))
+    start = tuple(a / 2 for a in _coupled_anticanonical(k))
     end = (Fraction(k - 2), Fraction(1, 2), Fraction(0))
     return start, end
 

@@ -1,29 +1,38 @@
 """The five manifold families, stated once as data.
 
-``FAMILY_DATA`` holds one ``FamilyData`` record per ``FamilyTag``.  It is the
-only place that states a family's parameter domain (whether it takes p, its
-smallest n and its p range), its anticanonical divisor class and, for the
-quadric blow-ups, the facet that each exceptional coefficient cuts off the
-shared base domain.  ``resolve(tag, n, p, divisor)`` turns a family member and
-a divisor class (``None`` for the anticanonical class) into the quintuple the
-stability criteria consume: a rational moment domain, a factored integration
-weight, a target vector, the axes on which the barycenter must strictly exceed
-the target, and an ampleness verdict.
+``FAMILY_DATA`` holds one ``FamilyData`` record per ``FamilyTag``, and it is
+the only place that describes a family: its parameter domain (whether it
+takes p, its smallest n and its p range), its anticanonical divisor class,
+its moment domain as facets that depend on the divisor, its weight factors,
+the axes on which the barycenter must strictly exceed the target, and its
+ampleness test.  One function, ``_build``, turns a family member and a
+divisor class (``None`` for the anticanonical class) into the quintuple the
+stability criteria consume: a rational moment domain, a factored
+integration weight, a target vector, the strict axes and an ampleness
+verdict.  The target is not stated anywhere: it is 2*rho = sum_j m_j
+grad l_j over the weight factors l_j^m_j, halved on blpp's undoubled t
+axis.
 
 Families and their divisor coordinates:
 
 * ``blpp``   : projective space blown up along two disjoint complementary
   linear subspaces.  Divisor = (c, d_plus, d_minus): coefficient on the
   pair of color divisors and on the two invariant boundary divisors.
-  One-dimensional moment domain; 2 <= p <= n-2.
+  The domain is the segment [max(-d_plus, -c), min(d_minus, c)], the weight
+  (c - t)^(p-1) (c + t)^(n-p-1); ample iff d_plus < c, d_minus < c and
+  d_plus + d_minus > 0.  2 <= p <= n-2.
 * ``blqq``   : a quadric blown up along a linear subquadric of codimension
-  at least three; 3 <= p <= n-3.  Only the anticanonical class is exposed
-  (no ampleness inequalities are known to us for general classes here).
+  at least three; 3 <= p <= n-3.  Divisor = (c, d), domain
+  {x >= 0, y >= 0, x <= d, x + y <= 2c}, weight x^(p-2) y^(n-p-2).  Only
+  the anticanonical class is exposed (no ampleness inequalities are known
+  to us for general classes here).
 * ``quade``, ``quadpt``, ``quadpm`` : a quadric (n >= 5) blown up along the
   codimension-two subquadric, at one point, or at an antipodal point pair.
   Divisor = (c, e...): the boundary-pair coefficient, then one exceptional
   coefficient e per facet a*x + b*y <= e on the shared base
-  {x >= 0, |y| <= 2c - x}; the class is ample iff 0 < e < 2c for every e.
+  {x >= 0, |y| <= 2c - x}: x <= e for quade, -y <= e for quadpt, and
+  -y <= e_plus, y <= e_minus for quadpm.  The weight is x^(n-4); the class
+  is ample iff 0 < e < 2c for every e.
 
 Coordinate convention for the two-dimensional families: everything is
 stated in doubled lattice coordinates; criteria only consume signs and
@@ -44,6 +53,10 @@ from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, ration
 from .polytope import HalfPlane, Polygon, Segment, polygon_from_halfplanes
 
 Divisor = tuple[Fraction, ...]
+# A facet <normal, x> <= offset of a moment domain.
+Facet = tuple[tuple[int, ...], RationalLike]
+# A weight factor (constant + <slopes, x>) ** power, as ((constant, *slopes), power).
+Factor = tuple[tuple[RationalLike, ...], int]
 
 
 class FamilyTag(enum.Enum):
@@ -78,31 +91,56 @@ class FamilyTag(enum.Enum):
 
 @dataclass(frozen=True)
 class FamilyData:
-    """The parameter domain and divisor data of one family.
+    """Everything that describes one family.
 
     ``p_margin`` is 0 for a family without p; otherwise p runs over
-    ``p_margin..n-p_margin``.  ``anticanonical(n, p)`` is the divisor of
-    the anticanonical class.  ``exceptional_normals`` holds, for a quadric
-    blow-up, the normal (a, b) of the facet a*x + b*y <= e that each
-    exceptional coefficient e cuts off the base {x >= 0, |y| <= 2c - x}.
+    ``p_margin..n-p_margin``.  ``anticanonical(n, p)`` is the divisor of the
+    anticanonical class.  The rest take the divisor coefficients as
+    arguments: ``facets(*divisor)`` lists the moment domain's facets,
+    ``weight(n, p, *divisor)`` its weight factors and ``ample(*divisor)``
+    decides ampleness.  ``doubled`` is False for a family stated in
+    undoubled coordinates, whose target is half the sum of the factor
+    gradients.
     """
 
     min_n: int
     p_margin: int
     anticanonical: Callable[[int, int | None], Divisor]
-    exceptional_normals: tuple[tuple[int, int], ...] = ()
+    facets: Callable[..., Sequence[Facet]]
+    weight: Callable[..., Sequence[Factor]]
+    ample: Callable[..., bool]
+    strict_axes: tuple[int, ...]
+    doubled: bool = True
+
+
+def _quadric(exceptional: Callable[[int], Divisor], *normals: tuple[int, int]) -> FamilyData:
+    """A quadric blow-up whose exceptional coefficients e, anticanonically
+    ``exceptional(n)``, cut the facets a*x + b*y <= e of ``normals`` off
+    the base {x >= 0, |y| <= 2c - x}."""
+    return FamilyData(
+        5, 0, lambda n, p: (Fraction(n, 2) - 1, *exceptional(n)),
+        lambda c, *es: [((-1, 0), 0), *zip(normals, es), ((1, -1), 2 * c), ((1, 1), 2 * c)],
+        lambda n, p, *_: [((0, 1, 0), n - 4)],
+        lambda c, *es: all(0 < e < 2 * c for e in es),
+        strict_axes=(0,))
 
 
 FAMILY_DATA = {
     FamilyTag.BLPP: FamilyData(
-        4, 2, lambda n, p: (Fraction(n, 2), p + 1 - Fraction(n, 2), Fraction(n, 2) - p + 1)),
-    FamilyTag.BLQQ: FamilyData(6, 3, lambda n, p: (Fraction(n, 2) - 1, Fraction(p - 1))),
-    FamilyTag.QUAD_E: FamilyData(
-        5, 0, lambda n, p: (Fraction(n, 2) - 1, Fraction(n - 3)), ((1, 0),)),
-    FamilyTag.QUAD_PT: FamilyData(
-        5, 0, lambda n, p: (Fraction(n, 2) - 1, Fraction(1)), ((0, -1),)),
-    FamilyTag.QUAD_PM: FamilyData(
-        5, 0, lambda n, p: (Fraction(n, 2) - 1, Fraction(1), Fraction(1)), ((0, -1), (0, 1))),
+        4, 2, lambda n, p: (Fraction(n, 2), p + 1 - Fraction(n, 2), Fraction(n, 2) - p + 1),
+        lambda c, d_plus, d_minus: [((-1,), d_plus), ((-1,), c), ((1,), d_minus), ((1,), c)],
+        lambda n, p, c, *_: [((c, -1), p - 1), ((c, 1), n - p - 1)],
+        lambda c, d_plus, d_minus: d_plus < c and d_minus < c and d_plus + d_minus > 0,
+        strict_axes=(), doubled=False),
+    FamilyTag.BLQQ: FamilyData(
+        6, 3, lambda n, p: (Fraction(n, 2) - 1, Fraction(p - 1)),
+        lambda c, d: [((-1, 0), 0), ((0, -1), 0), ((1, 0), d), ((1, 1), 2 * c)],
+        lambda n, p, *_: [((0, 1, 0), p - 2), ((0, 0, 1), n - p - 2)],
+        lambda *_: True,
+        strict_axes=(0, 1)),
+    FamilyTag.QUAD_E: _quadric(lambda n: (Fraction(n - 3),), (1, 0)),
+    FamilyTag.QUAD_PT: _quadric(lambda n: (Fraction(1),), (0, -1)),
+    FamilyTag.QUAD_PM: _quadric(lambda n: (Fraction(1), Fraction(1)), (0, -1), (0, 1)),
 }
 
 
@@ -147,17 +185,54 @@ def _as_divisor(values: Sequence[RationalLike], arity: int, family: str) -> Divi
     return tuple(_as_fraction(v) for v in values)
 
 
+def blpp_ample(divisor: Sequence[RationalLike]) -> bool:
+    """Strict ampleness inequalities for a blpp divisor class."""
+    return FAMILY_DATA[FamilyTag.BLPP].ample(*_as_divisor(divisor, 3, "blpp"))
+
+
 def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[RationalLike]]) -> None:
     """Require every affine factor to be nonnegative on the domain and not
-    identically zero on it; this makes the weight positive on the interior."""
-    for form, mult in weight.factors:
-        if mult == 0:
-            continue
+    identically zero on it; this makes the weight positive on the interior.
+    Every family weight raises each factor to a positive power."""
+    for form, _ in weight.factors:
         values = [form.evaluate(v) for v in vertices]
         if min(values) < 0 or max(values) <= 0:
             raise WeightPositivityError(
                 f"weight factor {form} is not positive on the domain interior"
             )
+
+
+def _validated(tag: FamilyTag, n: int, p: int | None,
+               divisor: Sequence[RationalLike] | None) -> tuple[FamilyTag, int, int | None, Divisor]:
+    """The arguments of ``_build``: the member checked, and the divisor
+    normalized to Fractions (the anticanonical class for ``None``)."""
+    check_params(tag, n, p)
+    anticanonical = FAMILY_DATA[tag].anticanonical(n, p)
+    if divisor is None:
+        return tag, n, p, anticanonical
+    divisor = _as_divisor(divisor, len(anticanonical), tag.value)
+    if tag is FamilyTag.BLQQ and divisor != anticanonical:
+        raise InvalidParameterError("blqq exposes only the anticanonical divisor")
+    return tag, n, p, divisor
+
+
+def _build(tag: FamilyTag, n: int, p: int | None, divisor: Divisor) -> FamilyInstance:
+    """Build a validated member from its ``FAMILY_DATA`` record."""
+    data = FAMILY_DATA[tag]
+    facets = data.facets(*divisor)
+    if tag.dimension == 1:
+        domain: Union[Segment, Polygon] = Segment.of(
+            max(c / a for (a,), c in facets if a < 0), min(c / a for (a,), c in facets if a > 0))
+    else:
+        domain = polygon_from_halfplanes(HalfPlane.of(*normal, c) for normal, c in facets)
+    weight = FactoredWeight.of(
+        1, [(AffineForm.of(*coeffs), mult) for coeffs, mult in data.weight(n, p, *divisor)])
+    _check_weight_positive(weight, domain.vertices)
+    scale = Fraction(1, 1 if data.doubled else 2)
+    target = tuple(scale * sum(mult * form.linear[axis] for form, mult in weight.factors)
+                   for axis in range(tag.dimension))
+    return FamilyInstance(tag, (n,) if p is None else (n, p), divisor, domain, weight, target,
+                          data.strict_axes, data.ample(*divisor))
 
 
 def resolve(
@@ -170,25 +245,10 @@ def resolve(
     and the divisor normalized to a tuple of Fractions first, so equal
     classes share one instance, and an invalid argument raises on every call.
     """
-    check_params(tag, n, p)
-    anticanonical = FAMILY_DATA[tag].anticanonical(n, p)
-    if divisor is None:
-        divisor = anticanonical
-    else:
-        divisor = _as_divisor(divisor, len(anticanonical), tag.value)
-        if tag is FamilyTag.BLQQ and divisor != anticanonical:
-            raise InvalidParameterError("blqq exposes only the anticanonical divisor")
-    return _resolve(tag, n, p, divisor)
+    return _resolve(*_validated(tag, n, p, divisor))
 
 
-@lru_cache(maxsize=None)
-def _resolve(tag: FamilyTag, n: int, p: int | None, divisor: Divisor) -> FamilyInstance:
-    if tag is FamilyTag.BLQQ:
-        return blqq_resolve(n, p)
-    if tag is FamilyTag.BLPP:
-        return blpp_resolve(n, p, divisor)
-    return quad_resolve(tag, n, divisor)
-
+_resolve = lru_cache(maxsize=None)(_build)
 
 # Lets a caller that must recompute, such as a determinism check, empty the memo.
 resolve.cache_clear = _resolve.cache_clear  # type: ignore[attr-defined]
@@ -199,141 +259,24 @@ def resolve_anticanonical(tag: FamilyTag, n: int, p: int | None = None) -> Famil
     return resolve(tag, n, p)
 
 
-# ---------------------------------------------------------------------------
-# Projective space blown up along two complementary linear subspaces
-# ---------------------------------------------------------------------------
-
-
-def blpp_anticanonical(n: int, p: int) -> Divisor:
-    """Divisor coefficients of the anticanonical class of the blpp family."""
-    return anticanonical_divisor(FamilyTag.BLPP, n, p)
-
-
-def blpp_ample(divisor: Sequence[RationalLike]) -> bool:
-    """Strict ampleness inequalities for a blpp divisor class."""
-    c, d_plus, d_minus = _as_divisor(divisor, 3, "blpp")
-    return d_plus < c and d_minus < c and d_plus + d_minus > 0
+# The per-family entry points build a fresh instance on every call: they
+# bypass the memo of ``resolve``, so a caller probing many divisor classes
+# (the coupled search) leaves nothing behind.
 
 
 def blpp_resolve(n: int, p: int, divisor: Sequence[RationalLike]) -> FamilyInstance:
-    """Resolve a blpp divisor class.
-
-    The moment domain is the segment [max(-d_plus, -c), min(d_minus, c)]
-    on the restricted-root line, the weight is (c - t)^(p-1) (c + t)^(n-p-1),
-    and the class is ample iff d_plus < c, d_minus < c and d_plus + d_minus > 0.
-    The target is meaningful only for the anticanonical class.
-    """
-    check_params(FamilyTag.BLPP, n, p)
-    c, d_plus, d_minus = _as_divisor(divisor, 3, "blpp")
-    segment = Segment.of(max(-d_plus, -c), min(d_minus, c))
-    weight = FactoredWeight.of(
-        1,
-        [
-            (AffineForm.of(c, -1), p - 1),
-            (AffineForm.of(c, 1), n - p - 1),
-        ],
-    )
-    _check_weight_positive(weight, segment.vertices)
-    ample = blpp_ample((c, d_plus, d_minus))
-    return FamilyInstance(
-        tag=FamilyTag.BLPP,
-        dims=(n, p),
-        divisor=(c, d_plus, d_minus),
-        domain=segment,
-        weight=weight,
-        target=(Fraction(n, 2) - p,),
-        strict_axes=(),
-        ample=ample,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Quadric blown up along a linear subquadric (codimension >= 3)
-# ---------------------------------------------------------------------------
+    """Resolve a blpp divisor class, without the memo."""
+    return _build(*_validated(FamilyTag.BLPP, n, p, divisor))
 
 
 def blqq_resolve(n: int, p: int) -> FamilyInstance:
-    """Resolve the anticanonical class of the blqq family.
-
-    With k = p - 1 and l = n - p - 1 the (doubled-coordinate) moment domain
-    is {0 <= x <= k, 0 <= y, x + y <= k + l}, the weight is
-    x^(k-1) y^(l-1), and the target is (k - 1, l - 1); the barycenter must
-    strictly exceed the target on both axes.
-    """
-    divisor = anticanonical_divisor(FamilyTag.BLQQ, n, p)
-    k, l = p - 1, n - p - 1
-    domain = Polygon.from_vertices([(0, 0), (k, 0), (k, l), (0, k + l)])
-    weight = FactoredWeight.of(
-        1,
-        [
-            (AffineForm.of(0, 1, 0), k - 1),
-            (AffineForm.of(0, 0, 1), l - 1),
-        ],
-    )
-    _check_weight_positive(weight, domain.vertices)
-    return FamilyInstance(
-        tag=FamilyTag.BLQQ,
-        dims=(n, p),
-        divisor=divisor,
-        domain=domain,
-        weight=weight,
-        target=(Fraction(k - 1), Fraction(l - 1)),
-        strict_axes=(0, 1),
-        ample=True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Quadric blown up along the codimension-two subquadric, a point, or a pair
-# ---------------------------------------------------------------------------
-
-
-def _exceptional_normals(variant: FamilyTag) -> tuple[tuple[int, int], ...]:
-    normals = FAMILY_DATA[variant].exceptional_normals
-    if not normals:
-        raise InvalidParameterError(f"{variant} is not a quadric blow-up variant")
-    return normals
-
-
-def quad_anticanonical(variant: FamilyTag, n: int) -> Divisor:
-    """Divisor coefficients of the anticanonical class of a quadric blow-up."""
-    _exceptional_normals(variant)
-    return anticanonical_divisor(variant, n)
+    """Resolve the anticanonical class of the blqq family, without the memo."""
+    return _build(*_validated(FamilyTag.BLQQ, n, p, None))
 
 
 def quad_resolve(variant: FamilyTag, n: int, divisor: Sequence[RationalLike]) -> FamilyInstance:
-    """Resolve a quadric blow-up divisor class in doubled coordinates.
-
-    The domain is the base {x >= 0, x - 2c <= y <= 2c - x}, c the
-    boundary-pair coefficient, cut by one facet per exceptional coefficient:
-
-    * quade :  x <= e
-    * quadpt:  -y <= e_plus
-    * quadpm:  -y <= e_plus and y <= e_minus
-
-    The class is ample iff 0 < e < 2c for every exceptional e.  The weight
-    is x^(n-4) and the target is (n - 4, 0): strict excess is required on
-    the x axis, exact equality on the y axis.
-    """
-    normals = _exceptional_normals(variant)
-    check_params(variant, n)
-    c, *exceptional = _as_divisor(divisor, 1 + len(normals), variant.value)
-    planes = [HalfPlane.of(-1, 0, 0)]
-    planes += [HalfPlane.of(a, b, e) for (a, b), e in zip(normals, exceptional)]
-    planes += [HalfPlane.of(1, -1, 2 * c), HalfPlane.of(1, 1, 2 * c)]
-    domain = polygon_from_halfplanes(planes)
-    weight = FactoredWeight.of(1, [(AffineForm.of(0, 1, 0), n - 4)])
-    _check_weight_positive(weight, domain.vertices)
-    return FamilyInstance(
-        tag=variant,
-        dims=(n,),
-        divisor=(c, *exceptional),
-        domain=domain,
-        weight=weight,
-        target=(Fraction(n - 4), Fraction(0)),
-        strict_axes=(0,),
-        ample=all(0 < e < 2 * c for e in exceptional),
-    )
+    """Resolve a quadric blow-up divisor class, without the memo."""
+    return _build(*_validated(variant, n, None, divisor))
 
 
 RECORD_SCHEMA_VERSION = 1

@@ -65,16 +65,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def beta_int(a: int, b: int) -> Fraction:
-    """Beta function at positive integers: (a-1)! (b-1)! / (a+b-1)!.
-
-    Equals the integral of t^(a-1) (1-t)^(b-1) over [0, 1].
-    """
-    if a < 1 or b < 1:
-        raise InvalidParameterError(f"beta_int({a}, {b}): arguments must be positive integers")
-    return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
-
-
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value

@@ -27,6 +27,7 @@ producing a zero-mass region, because every caller divides by the mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -116,21 +117,27 @@ def _cross(o: Point, p: Point, q: Point) -> Fraction:
 
 @dataclass(frozen=True)
 class Triangle:
-    """Nondegenerate triangle given by three rational vertices."""
+    """Nondegenerate triangle given by three rational vertices.
+
+    ``Triangle.of`` keeps the doubled signed area that its degeneracy check
+    computed, so integration does not compute it again.
+    """
 
     vertices: tuple[Point, Point, Point]
 
     @staticmethod
     def of(p0: Sequence[RationalLike], p1: Sequence[RationalLike], p2: Sequence[RationalLike]) -> "Triangle":
         v0, v1, v2 = (make_point(*p) for p in (p0, p1, p2))
-        if _cross(v0, v1, v2) == 0:
+        doubled = _cross(v0, v1, v2)
+        if doubled == 0:
             raise DegenerateRegionError(f"triangle {v0}, {v1}, {v2} is degenerate")
-        return Triangle((v0, v1, v2))
+        triangle = Triangle((v0, v1, v2))
+        triangle.__dict__["doubled_signed_area"] = doubled  # the cached_property's slot
+        return triangle
 
-    @property
+    @cached_property
     def doubled_signed_area(self) -> Fraction:
-        v0, v1, v2 = self.vertices
-        return _cross(v0, v1, v2)
+        return _cross(*self.vertices)
 
     @property
     def area(self) -> Fraction:

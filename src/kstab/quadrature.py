@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .errors import ContractError, InvalidParameterError, ZeroMassError
+from .errors import ContractError, ZeroMassError
 from .poly import FactoredWeight, Poly1, Poly2, _over_common_denominator
 from .polytope import Point, Polygon, Segment, Triangle, triangulate
 
@@ -107,14 +106,6 @@ def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fra
     top = len(b) - 1
     total = sum(factorial(k) * factorial(top - k) * bk for k, bk in enumerate(b))
     return weight.prefactor * (hi - lo) * Fraction(total, factorial(top + 1) * den)
-
-
-@lru_cache(maxsize=None)
-def integrate_monomial_simplex(a: int, b: int) -> Fraction:
-    """Integral of x^a y^b over the standard simplex {x, y >= 0, x + y <= 1}."""
-    if a < 0 or b < 0:
-        raise InvalidParameterError("monomial exponents must be nonnegative")
-    return Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
 
 
 def integrate_poly2_triangle(f: Poly2, triangle: Triangle) -> Fraction:

@@ -140,6 +140,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "expected one argument" not in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["ke", "--family", "blpp", "--n", "4..100000", "--p", "all"], "field --n: range"),
+        (["mh", "--n", "4..400", "--p", "all"], "field --n: 79003 rows up to n = 400"),
+        (["coupled", "--k", "3..30000"], "field --k: 29998 rows up to n = 60001"),
+        (["verify", "--max-n", "100000"], "field --max-n: must be at most"),
+        (["coupled", "--k", "20", "--bisections", "100000"], "field --bisections: must be at most"),
+    ])
+    def test_oversized_invocation_is_one_before_any_row(self, monkeypatch, capsys, args, message):
+        def refuse(*_):
+            raise AssertionError("an oversized invocation ran")
+
+        monkeypatch.setattr(cli, "_execute_tasks", refuse)
+        monkeypatch.setattr(verify, "verify_theorems", refuse)
+        assert main(args + ["--jobs", "1"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["ke", "--family", "blpp", "--n", "4..40", "--p", "all"],
+        ["ke", "--family", "quade", "--n", "162"],
+        ["coupled", "--k", "20", "--bisections", "40"],
+        ["verify", "--suite", "all", "--max-n", "40"],
+    ])
+    def test_largest_documented_invocations_are_admitted(self, args):
+        parse_spec(args)
+
     def test_missing_argument_is_one(self, capsys):
         assert main(["ke", "--family", "blpp"]) == 1
 

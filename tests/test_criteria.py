@@ -1,10 +1,11 @@
 """Decision procedures: classification, Mabuchi tests, certificates, search."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from kstab import criteria
+from kstab import criteria, families
 from kstab.criteria import KEStatus, MabuchiStatus, classify_offset
 from kstab.errors import (
     ContractError,
@@ -125,6 +126,48 @@ class TestMomentClosedForms:
             criteria.blpp_moment_closed(4, 1)
         with pytest.raises(InvalidParameterError):
             criteria.blqq_x_moment_closed(1, 5)
+
+
+def quade_beta(n: int) -> F:
+    """Fujita's beta(E) = A(E) - S(E) of the exceptional divisor E of quade,
+    from intersection numbers alone.
+
+    With d = n - 2, H the hyperplane class and F = H - E the pencil of
+    hyperplane sections through the centre, -K - xE = (d-1-x)H + (1+x)F is
+    nef on [0, d-1], and H^d = H^(d-1)F = 2, F^2 = 0, so
+    vol(-K - xE) = 2(d-1-x)^d + 2d(1+x)(d-1-x)^(d-1) there.  A(E) = 1 and
+    S(E) is the mean of that volume over [0, d-1] against vol(-K).  The
+    polynomial is expanded by the binomial theorem and integrated termwise.
+    """
+    d = n - 2
+    top = d - 1
+    coeffs = [F(0)] * (d + 1)
+    for i in range(d + 1):  # 2 (top - x)^d
+        coeffs[i] += 2 * comb(d, i) * top ** (d - i) * (-1) ** i
+    for i in range(d):  # 2d (1 + x) (top - x)^(d-1)
+        term = 2 * d * comb(d - 1, i) * top ** (d - 1 - i) * (-1) ** i
+        coeffs[i] += term
+        coeffs[i + 1] += term
+    integral = sum(c * F(top) ** (i + 1) / (i + 1) for i, c in enumerate(coeffs))
+    return 1 - integral / coeffs[0]
+
+
+class TestQuadeValuativeOracle:
+    """An oracle for the quade verdict that shares no code with the
+    integrator: beta(E) < 0 proves that the member is not K-semistable."""
+
+    def test_beta_equals_the_x_excess(self):
+        for n in range(5, 41):
+            assert quade_beta(n) == criteria.quad_e_x_barycenter(n) - (n - 4), n
+
+    def test_beta_closed_form(self):
+        for n in range(5, 41):
+            d = n - 2
+            assert quade_beta(n) == F(-(d * d - 5 * d + 2), (d + 1) * (2 * d - 1)), n
+        assert [quade_beta(n) for n in (5, 6, 7)] == [F(1, 5), F(2, 35), F(-1, 27)]
+
+    def test_beta_negative_from_seven_on(self):
+        assert [n for n in range(5, 41) if quade_beta(n) >= 0] == [5, 6]
 
 
 def _mabuchi(tag, n, p=None):
@@ -330,6 +373,17 @@ class TestInstanceMomentsMemo:
         for (a, b), moments_a in zip(pairs, first):
             assert a is not b and a == b and hash(a) == hash(b)
             assert criteria.instance_moments(b) == moments_a
+
+
+class TestCoupledProbesStayOutOfTheMemos:
+    def test_search_leaves_both_memos_empty(self):
+        # every probe of a coupled search is a new divisor class, read once
+        families.resolve.cache_clear()
+        criteria.instance_moments.cache_clear()
+        start, end = criteria.coupled_default_endpoints(5)
+        criteria.coupled_search(5, start, end, 8)
+        assert families._resolve.cache_info().currsize == 0
+        assert criteria.instance_moments.cache_info().currsize == 0
 
 
 class TestSegmentWeightsStayFactored:

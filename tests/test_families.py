@@ -9,11 +9,9 @@ from kstab.errors import EmptyRegionError, InvalidParameterError, WeightPositivi
 from kstab.families import (
     FamilyTag,
     anticanonical_divisor,
-    blpp_anticanonical,
     blpp_resolve,
     blqq_resolve,
     instance_record,
-    quad_anticanonical,
     quad_resolve,
     resolve,
     resolve_anticanonical,
@@ -24,19 +22,20 @@ from kstab.polytope import Segment
 
 class TestBlppAnticanonical:
     def test_balanced(self):
-        assert blpp_anticanonical(10, 5) == (F(5), F(1), F(1))
+        assert anticanonical_divisor(FamilyTag.BLPP, 10, 5) == (F(5), F(1), F(1))
 
     def test_odd_dimension(self):
-        assert blpp_anticanonical(5, 2) == (F(5, 2), F(1, 2), F(3, 2))
+        assert anticanonical_divisor(FamilyTag.BLPP, 5, 2) == (F(5, 2), F(1, 2), F(3, 2))
 
     def test_odd_family_shape(self):
         # for n = 2k+1, p = k the anticanonical is (k + 1/2, 1/2, 3/2)
         for k in range(2, 8):
-            assert blpp_anticanonical(2 * k + 1, k) == (k + F(1, 2), F(1, 2), F(3, 2))
+            assert anticanonical_divisor(FamilyTag.BLPP, 2 * k + 1, k) == (
+                k + F(1, 2), F(1, 2), F(3, 2))
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
-            blpp_anticanonical(4, 3)
+            anticanonical_divisor(FamilyTag.BLPP, 4, 3)
 
 
 class TestBlppResolve:
@@ -130,9 +129,9 @@ class TestQuadResolve:
         assert inst.domain.vertices == ((F(0), F(-2)), (F(2), F(0)), (F(0), F(2)))
 
     def test_anticanonical_coefficients(self):
-        assert quad_anticanonical(FamilyTag.QUAD_E, 7) == (F(5, 2), F(4))
-        assert quad_anticanonical(FamilyTag.QUAD_PT, 7) == (F(5, 2), F(1))
-        assert quad_anticanonical(FamilyTag.QUAD_PM, 7) == (F(5, 2), F(1), F(1))
+        assert anticanonical_divisor(FamilyTag.QUAD_E, 7) == (F(5, 2), F(4))
+        assert anticanonical_divisor(FamilyTag.QUAD_PT, 7) == (F(5, 2), F(1))
+        assert anticanonical_divisor(FamilyTag.QUAD_PM, 7) == (F(5, 2), F(1), F(1))
 
     def test_small_dimension_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -154,7 +153,7 @@ class TestResolveMemo:
                          (F(divisor[0]), divisor[1], divisor[2])]
             first = resolve(tag, n, p, spellings[0])
             assert all(resolve(tag, n, p, d) is first for d in spellings)
-        anticanonical = blpp_anticanonical(7, 2)
+        anticanonical = anticanonical_divisor(FamilyTag.BLPP, 7, 2)
         assert resolve(FamilyTag.BLPP, 7, 2, list(anticanonical)) is resolve(FamilyTag.BLPP, 7, 2)
         assert resolve_anticanonical(FamilyTag.BLQQ, 9, 4) is resolve(FamilyTag.BLQQ, 9, 4)
 

@@ -3,11 +3,13 @@ oracle implemented here and nowhere else."""
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstab import polytope
 from kstab.errors import ContractError, ZeroMassError
 from kstab.families import FamilyTag, resolve_anticanonical
 from kstab.poly import AffineForm, FactoredWeight, Poly1, Poly2
@@ -15,7 +17,6 @@ from kstab.polytope import HalfPlane, Polygon, Segment, Triangle, polygon_from_h
 from kstab.quadrature import (
     barycenter,
     integrate_factored,
-    integrate_monomial_simplex,
     integrate_poly1,
     integrate_poly2_polygon,
     integrate_poly2_triangle,
@@ -43,6 +44,12 @@ def _binom(n, k):
     for i in range(1, k + 1):
         out = out * (n - i + 1) // i
     return out
+
+
+def integrate_monomial_simplex(a: int, b: int) -> F:
+    """Integral of x^a y^b over the standard simplex {x, y >= 0, x + y <= 1}:
+    the Dirichlet integral a! b! / (a+b+2)!."""
+    return F(factorial(a) * factorial(b), factorial(a + b + 2))
 
 
 def _poly2_y_antiderivative(f: Poly2):
@@ -372,6 +379,22 @@ class TestPolygonIntegration:
             ]
             f = Poly2.from_terms(terms)
             assert integrate_poly2_polygon(f, domain) == iterated_polygon_integral(f, domain)
+
+    def test_one_area_per_triangle(self, monkeypatch):
+        # the triangulation computes each triangle's doubled area once, and
+        # integration reuses it rather than computing it again
+        domain = resolve_anticanonical(FamilyTag.QUAD_PM, 7).domain
+        calls = []
+        cross = polytope._cross
+
+        def counting(*points):
+            calls.append(points)
+            return cross(*points)
+
+        monkeypatch.setattr(polytope, "_cross", counting)
+        f = Poly2.from_terms([(2, 1, 1), (0, 0, F(1, 3))])
+        assert integrate_poly2_polygon(f, domain) == iterated_polygon_integral(f, domain)
+        assert len(calls) == len(domain.vertices) - 2 == 3
 
 
 class TestMomentsAndBarycenter:
