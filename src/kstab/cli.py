@@ -7,8 +7,9 @@ derived for display and never feed back into a decision.  Identical
 invocations produce byte-identical json and csv output: rows are generated
 in parameter order and keys in fixed order.
 
-Exit codes: 0 on completion, 1 on an invalid invocation or an ``--out``
-path that cannot be written, 2 when any row ended in an ``error:<code>``
+Exit codes: 0 on completion; 1 only from ``parse_spec``, which checks
+every argument of every command before any row runs, or from an ``--out``
+path that cannot be written; 2 when any row ended in an ``error:<code>``
 verdict (whatever the code) or when dump-instance raised a kstab error.
 The reason of each error or no-bracket row goes to stderr, one line a row.
 """
@@ -29,14 +30,16 @@ from typing import Sequence
 from . import criteria, verify
 from .errors import InvalidParameterError, KstabError, NoBracketError
 from .families import FamilyTag, instance_record, resolve
-from .poly import rational_from_str, rational_to_str
+from .poly import rational_from_str
 
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "KSTAB_JOBS"
-# The largest invocation admitted: rows × n of a sweep (n = 2k + 1 for
-# coupled), and --max-n of verify and --bisections of coupled, may not
-# exceed it.  A larger one exits 1 before any row runs.
+# The largest sweep admitted: rows × n (n = 2k + 1 for coupled), --bisections
+# of coupled and the length of a range may not exceed it.  A larger one
+# exits 1 before any row is built.
 MAX_WORK = 50_000
+# The largest verify --max-n; the suite's cost grows about as n^3.
+MAX_VERIFY_N = 80
 
 _FAMILIES = {tag.cli_name: tag for tag in FamilyTag}
 
@@ -51,19 +54,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class Task:
+    """One report row to compute, picklable for the worker pool: a member
+    (n, p) of the family, or a coupled search at k (n and p are None)."""
+
     command: str
-    family: FamilyTag | None
-    n_values: tuple[int, ...]
-    p_all: bool
-    p_values: tuple[int, ...]
-    k_values: tuple[int, ...]
-    divisor: tuple[Fraction, ...] | None
-    start: tuple[Fraction, ...] | None
-    end: tuple[Fraction, ...] | None
-    bisections: int
+    family: FamilyTag
+    n: int | None
+    p: int | None
+    k: int | None = None
+    bisections: int = 0
+    start: tuple[Fraction, ...] | None = None
+    end: tuple[Fraction, ...] | None = None
+
+    @property
+    def params(self) -> dict:
+        """The parameter columns of the task's row."""
+        if self.command == "coupled":
+            return {"k": self.k}
+        return {"n": self.n} if self.p is None else {"n": self.n, "p": self.p}
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """A validated invocation: the rows of a sweep, verify's suite and
+    --max-n, or dump-instance's member (family, n, p, divisor)."""
+
+    command: str
+    tasks: tuple[Task, ...]
     suite: str
     max_n: int
+    member: tuple | None
     fmt: str
     out: str | None
     jobs: int
@@ -123,7 +144,6 @@ def _build_parser() -> _Parser:
     coup.add_argument("--bisections", type=int, default=40)
     coup.add_argument("--start", default=None, help="segment start divisor (default: built-in)")
     coup.add_argument("--end", default=None, help="segment end divisor (default: built-in)")
-    coup.set_defaults(family="blpp")
     add_common(coup)
 
     mh = sub.add_parser("mh", help="multiplier-Hermitian certificates")
@@ -166,67 +186,58 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     return args
 
 
-def parse_spec(argv: Sequence[str]) -> RunSpec:
-    ns = _build_parser().parse_args(_attach_values(argv))
-    family = _FAMILIES.get(getattr(ns, "family", "") or "")
-    n_values: tuple[int, ...] = ()
-    if getattr(ns, "n", None) is not None:
-        if ns.command == "dump-instance":
-            n_values = (ns.n,)
-        else:
-            n_values = _parse_range(ns.n, "--n")
-
-    # p_all: every p of the family at each n, which is (None,) for a family without p.
-    p_all, p_values = False, ()
-    p_arg = getattr(ns, "p", None)
-    if p_arg is None:
-        if ns.command == "dump-instance" and family.takes_p:
-            raise SpecError("field --p: required for this family")
-        p_all = True
-    elif not family.takes_p:
-        raise SpecError(f"field --p: family {family.cli_name} takes no p")
-    elif ns.command == "dump-instance":
-        p_values = (p_arg,)
-    elif p_arg.strip() == "all":
-        p_all = True
-    else:
-        p_values = _parse_range(p_arg, "--p")
-
-    k_values: tuple[int, ...] = ()
-    if ns.command == "coupled":
-        k_values = _parse_range(ns.k, "--k")
-
-    divisor = None
-    if getattr(ns, "divisor", None):
-        if family is FamilyTag.BLQQ:
-            raise SpecError("field --divisor: blqq exposes only the anticanonical divisor")
-        divisor = _parse_divisor(ns.divisor, "--divisor")
-
-    start = _parse_divisor(ns.start, "--start") if getattr(ns, "start", None) else None
-    end = _parse_divisor(ns.end, "--end") if getattr(ns, "end", None) else None
-
-    bisections = getattr(ns, "bisections", 40)
-    if bisections < 0:
-        raise SpecError("field --bisections: must be nonnegative")
-    if bisections > MAX_WORK:
-        raise SpecError(f"field --bisections: must be at most {MAX_WORK}")
-    max_n = getattr(ns, "max_n", 40)
-    if ns.command == "verify" and max_n < 7:
-        raise SpecError("field --max-n: must be at least 7")
-    if ns.command == "verify" and max_n > MAX_WORK:
-        raise SpecError(f"field --max-n: must be at most {MAX_WORK}")
-    field, rows, top = "--n", 0, 0  # verify and dump-instance run no sweep
-    if ns.command == "coupled":
-        field, rows, top = "--k", len(k_values), 2 * max(k_values) + 1
-    elif ns.command not in ("verify", "dump-instance"):
-        rows = (sum(len(family.p_values(n)) for n in n_values) if p_all
-                else len(n_values) * len(p_values))
-        top = max(n_values)
+def _check_rows(field: str, rows: int, top: int) -> None:
     if rows * top > MAX_WORK:
         raise SpecError(f"field {field}: {rows} rows up to n = {top} exceed the limit "
                         f"of {MAX_WORK} for rows × n")
 
-    jobs = ns.jobs
+
+def _member_tasks(ns: argparse.Namespace, tag: FamilyTag) -> tuple[Task, ...]:
+    """The rows of ke, mabuchi or mh: each n of --n with each p of --p, or
+    every p of the family at that n when --p is absent or 'all'."""
+    n_values = _parse_range(ns.n, "--n")
+    p_all = ns.p is None or ns.p.strip() == "all"
+    p_values = () if p_all else _parse_range(ns.p, "--p")
+
+    def p_at(n: int):
+        return tag.p_values(n) if p_all else p_values
+
+    _check_rows("--n", sum(len(p_at(n)) for n in n_values), max(n_values))
+    if all(n < tag.min_n for n in n_values):
+        raise SpecError(f"field --n: every requested n is below the family minimum {tag.min_n}")
+    if not p_all and not any(p in tag.p_values(n) for n in n_values for p in p_values):
+        raise SpecError("field --p: out of range for every requested n")
+    return tuple(Task(ns.command, tag, n, p) for n in n_values for p in p_at(n))
+
+
+def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
+    k_values = _parse_range(ns.k, "--k")
+    start = _parse_divisor(ns.start, "--start") if ns.start else None
+    end = _parse_divisor(ns.end, "--end") if ns.end else None
+    if ns.bisections < 0:
+        raise SpecError("field --bisections: must be nonnegative")
+    if ns.bisections > MAX_WORK:
+        raise SpecError(f"field --bisections: must be at most {MAX_WORK}")
+    _check_rows("--k", len(k_values), 2 * max(k_values) + 1)
+    if all(k < 2 for k in k_values):
+        raise SpecError("field --k: must reach at least 2")
+    return tuple(Task("coupled", FamilyTag.BLPP, None, None, k, ns.bisections, start, end)
+                 for k in k_values)
+
+
+def _dump_member(ns: argparse.Namespace, tag: FamilyTag) -> tuple:
+    if ns.p is None and tag.takes_p:
+        raise SpecError("field --p: required for this family")
+    divisor = None
+    if ns.divisor:
+        if tag is FamilyTag.BLQQ:
+            raise SpecError("field --divisor: blqq exposes only the anticanonical divisor")
+        divisor = _parse_divisor(ns.divisor, "--divisor")
+    return tag, ns.n, ns.p, divisor
+
+
+def _jobs(flag: int | None) -> int:
+    jobs = flag
     if jobs is None:
         env = os.environ.get(JOBS_ENV_VAR, "").strip()
         if env:
@@ -238,83 +249,50 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
             jobs = os.cpu_count() or 1
     if jobs < 1:
         raise SpecError("field --jobs: must be at least 1")
-
-    return RunSpec(
-        command=ns.command,
-        family=family,
-        n_values=n_values,
-        p_all=p_all,
-        p_values=p_values,
-        k_values=k_values,
-        divisor=divisor,
-        start=start,
-        end=end,
-        bisections=bisections,
-        suite=getattr(ns, "suite", "all"),
-        max_n=max_n,
-        fmt=ns.format,
-        out=ns.out,
-        jobs=jobs,
-    )
+    return jobs
 
 
-# ---------------------------------------------------------------------------
-# Task generation and execution
-# ---------------------------------------------------------------------------
+def parse_spec(argv: Sequence[str]) -> RunSpec:
+    """Check every argument of the invocation and build its rows.
 
-
-@dataclass(frozen=True)
-class Task:
-    """One report row to compute, picklable for the worker pool: a member
-    (n, p) of the family, or a coupled search at k (n and p are None)."""
-
-    command: str
-    family: FamilyTag
-    n: int | None
-    p: int | None
-    k: int | None
-    bisections: int
-    start: tuple[Fraction, ...] | None
-    end: tuple[Fraction, ...] | None
-
-    @property
-    def params(self) -> dict:
-        """The parameter columns of the task's row."""
-        if self.command == "coupled":
-            return {"k": self.k}
-        return {"n": self.n} if self.p is None else {"n": self.n, "p": self.p}
-
-
-def _tasks_for(spec: RunSpec) -> list[Task]:
-    tag = spec.family
-    if spec.command == "coupled":
-        if all(k < 2 for k in spec.k_values):
-            raise SpecError("field --k: must reach at least 2")
-        members = [(None, None, k) for k in spec.k_values]
+    Every ``SpecError`` is raised here or in the helpers above, so a spec
+    that parses runs without one.  A sweep's rows are counted, and refused
+    when too many, before any is built.
+    """
+    ns = _build_parser().parse_args(_attach_values(argv))
+    tag = _FAMILIES.get(getattr(ns, "family", ""))
+    if getattr(ns, "p", None) is not None and not tag.takes_p:
+        raise SpecError(f"field --p: family {tag.cli_name} takes no p")
+    tasks: tuple[Task, ...] = ()
+    member = None
+    if ns.command == "verify":
+        if ns.max_n < 7:
+            raise SpecError("field --max-n: must be at least 7")
+        if ns.max_n > MAX_VERIFY_N:
+            raise SpecError(f"field --max-n: must be at most {MAX_VERIFY_N}")
+    elif ns.command == "dump-instance":
+        member = _dump_member(ns, tag)
+    elif ns.command == "coupled":
+        tasks = _coupled_tasks(ns)
     else:
-        if all(n < tag.min_n for n in spec.n_values):
-            raise SpecError(f"field --n: every requested n is below the family minimum {tag.min_n}")
-        if not spec.p_all and not any(p in tag.p_values(n) for n in spec.n_values for p in spec.p_values):
-            raise SpecError("field --p: out of range for every requested n")
-        members = [(n, p, None)
-                   for n in spec.n_values
-                   for p in (tag.p_values(n) if spec.p_all else spec.p_values)]
-    return [Task(spec.command, tag, n, p, k, spec.bisections, spec.start, spec.end)
-            for n, p, k in members]
+        tasks = _member_tasks(ns, tag)
+    return RunSpec(command=ns.command, tasks=tasks, suite=getattr(ns, "suite", "all"),
+                   max_n=getattr(ns, "max_n", 40), member=member, fmt=ns.format, out=ns.out,
+                   jobs=_jobs(ns.jobs))
+
+
+# ---------------------------------------------------------------------------
+# Execution
+# ---------------------------------------------------------------------------
 
 
 def _run_task(task: Task) -> dict:
     started = time.perf_counter()
     row = {"family": task.family.cli_name, "params": task.params}
     try:
-        if task.command == "ke":
-            row["verdict"], row["witness"] = _ke_result(task)
-        elif task.command == "mabuchi":
-            row["verdict"], row["witness"] = _mabuchi_result(task)
-        elif task.command == "mh":
-            row["verdict"], row["witness"] = _mh_result(task)
-        else:
-            row["verdict"], row["witness"] = _coupled_result(task)
+        result = {"ke": _ke_result, "mabuchi": _mabuchi_result, "mh": _mh_result,
+                  "coupled": _coupled_result}[task.command]
+        row["verdict"], row["witness"] = result(task)
     except NoBracketError as exc:
         row.update(verdict="no-bracket", witness={}, note=str(exc))
     except KstabError as exc:
@@ -365,7 +343,7 @@ def _coupled_result(task: Task) -> tuple[str, dict]:
     return "certificate", witness
 
 
-def _execute_tasks(tasks: list[Task], jobs: int) -> list[dict]:
+def _execute_tasks(tasks: Sequence[Task], jobs: int) -> list[dict]:
     if jobs > 1 and len(tasks) > 1:
         # imported here: the pool pulls in multiprocessing, logging and
         # socket, which a serial run would pay for at every start
@@ -389,15 +367,22 @@ def _execute_tasks(tasks: list[Task], jobs: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def decimal_str(value: Fraction, digits: int = 20) -> str:
+def decimal_str(value: Fraction) -> str:
     """20-significant-digit decimal rendering; display only."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
+def _exact_str(value: Fraction) -> str:
+    """``"num/den"``, as ``rational_to_str`` writes it, through ``Decimal``,
+    which is exact and not subject to the interpreter's int-to-str limit of
+    4300 digits."""
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
 def _witness_strings(row: dict) -> tuple[dict, dict]:
-    exact = {key: rational_to_str(value) for key, value in row["witness"].items()}
+    exact = {key: _exact_str(value) for key, value in row["witness"].items()}
     approx = {key: decimal_str(value) for key, value in row["witness"].items()}
     return exact, approx
 
@@ -417,53 +402,40 @@ def _render_rows_json(command: str, rows: list[dict]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _collect_columns(rows: list[dict]) -> tuple[list[str], list[str]]:
-    param_cols: list[str] = []
-    witness_cols: list[str] = []
-    for row in rows:
-        for key in row["params"]:
-            if key not in param_cols:
-                param_cols.append(key)
-        for key in row["witness"]:
-            if key not in witness_cols:
-                witness_cols.append(key)
-    return param_cols, witness_cols
-
-
-def _render_rows_csv(command: str, rows: list[dict]) -> str:
-    import csv
-
-    param_cols, witness_cols = _collect_columns(rows)
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (["family"] + param_cols + ["verdict"]
-              + witness_cols + [f"{c}_dec" for c in witness_cols])
-    writer.writerow(header)
+def _table(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
+    """The header and records of csv and markdown: parameter and witness
+    columns in order of first appearance, exact witnesses then decimals."""
+    param_cols = list(dict.fromkeys(key for row in rows for key in row["params"]))
+    witness_cols = list(dict.fromkeys(key for row in rows for key in row["witness"]))
+    header = ["family", *param_cols, "verdict", *witness_cols, *(f"{c}_dec" for c in witness_cols)]
+    records = []
     for row in rows:
         exact, approx = _witness_strings(row)
-        record = [row["family"]]
-        record += [str(row["params"].get(c, "")) for c in param_cols]
-        record.append(row["verdict"])
-        record += [exact.get(c, "") for c in witness_cols]
-        record += [approx.get(c, "") for c in witness_cols]
-        writer.writerow(record)
+        records.append([row["family"], *(str(row["params"].get(c, "")) for c in param_cols),
+                        row["verdict"], *(exact.get(c, "") for c in witness_cols),
+                        *(approx.get(c, "") for c in witness_cols)])
+    return header, records
+
+
+def _csv_text(records: list[list]) -> str:
+    import csv
+
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(records)
     return buf.getvalue()
 
 
+def _render_rows_csv(command: str, rows: list[dict]) -> str:
+    header, records = _table(rows)
+    return _csv_text([header, *records])
+
+
 def _render_rows_markdown(command: str, rows: list[dict]) -> str:
-    param_cols, witness_cols = _collect_columns(rows)
-    header = (["family"] + param_cols + ["verdict"]
-              + witness_cols + [f"{c}_dec" for c in witness_cols] + ["elapsed_ms"])
-    lines = [f"# kstab {command}", ""]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "|".join("---" for _ in header) + "|")
-    for row in rows:
-        exact, approx = _witness_strings(row)
-        record = [row["family"]]
-        record += [str(row["params"].get(c, "")) for c in param_cols]
-        record.append(row["verdict"])
-        record += [exact.get(c, "") for c in witness_cols]
-        record += [approx.get(c, "") for c in witness_cols]
+    header, records = _table(rows)
+    header.append("elapsed_ms")
+    lines = [f"# kstab {command}", "", "| " + " | ".join(header) + " |",
+             "|" + "|".join("---" for _ in header) + "|"]
+    for row, record in zip(rows, records):
         record.append(f"{row.get('elapsed_ms', 0.0):.1f}")
         lines.append("| " + " | ".join(record) + " |")
     return "\n".join(lines) + "\n"
@@ -482,14 +454,9 @@ def _render_verify(results: list[verify.CheckResult], fmt: str) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        import csv
-
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["criterion", "status", "name", "witness"])
-        for r in results:
-            writer.writerow([r.criterion, "pass" if r.passed else "fail", r.name, r.witness])
-        return buf.getvalue()
+        return _csv_text([["criterion", "status", "name", "witness"]]
+                         + [[r.criterion, "pass" if r.passed else "fail", r.name, r.witness]
+                            for r in results])
     lines = ["# kstab verify", ""]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -506,14 +473,9 @@ def execute(spec: RunSpec) -> tuple[str, int]:
         results = verify.verify_theorems(max_n=spec.max_n, suite=spec.suite)
         return _render_verify(results, spec.fmt), 0
     if spec.command == "dump-instance":
-        p = spec.p_values[0] if spec.p_values else None
-        inst = resolve(spec.family, spec.n_values[0], p, spec.divisor)
-        return json.dumps(instance_record(inst), indent=2) + "\n", 0
+        return json.dumps(instance_record(resolve(*spec.member)), indent=2) + "\n", 0
 
-    tasks = _tasks_for(spec)
-    if not tasks:
-        raise SpecError("field --n/--p: the requested sweep is empty")
-    rows = _execute_tasks(tasks, spec.jobs)
+    rows = _execute_tasks(spec.tasks, spec.jobs)
     for row in rows:
         if "note" in row:
             params = ",".join(f"{key}={value}" for key, value in row["params"].items())
@@ -540,10 +502,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         spec = parse_spec(args)
-    except SpecError as exc:
-        print(f"kstab: invalid invocation: {exc}", file=sys.stderr)
-        return 1
-    try:
         text, code = execute(spec)
     except SpecError as exc:
         print(f"kstab: invalid invocation: {exc}", file=sys.stderr)
@@ -560,7 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
     else:
         sys.stdout.write(text)
-    return 0 if code == 0 else code
+    return code
 
 
 if __name__ == "__main__":

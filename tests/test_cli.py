@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kstab import cli, criteria, families, verify
 from kstab.cli import main, parse_spec, render_to_string
+from kstab.errors import KstabError
 from kstab.families import FamilyTag, instance_record, resolve_anticanonical
 
 SRC_DIR = Path(cli.__file__).resolve().parent
@@ -41,6 +42,19 @@ class TestKeCommand:
         assert row["witness"]["xi_x"] == "1/5"
         assert row["witness"]["xi_y"] == "0/1"
         assert row["witness_decimal"]["xi_x"] == "0.2"
+
+    def test_witnesses_beyond_the_int_to_str_limit_render(self, capsys):
+        args = ["ke", "--family", "quade", "--n", "1500", "--format", "json", "--jobs", "1"]
+        assert main(args) == 0
+        mass = json.loads(capsys.readouterr().out)["rows"][0]["witness"]["mass"]
+        expected = criteria.ke_classify(resolve_anticanonical(FamilyTag.QUAD_E, 1500)).mass
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # only to write the expected digits
+        try:
+            assert max(len(str(expected.numerator)), len(str(expected.denominator))) > limit
+            assert mass == f"{expected.numerator}/{expected.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_error_rows_keep_table_rectangular(self):
         # p = 4 fits only n = 6 of 4..6
@@ -146,6 +160,7 @@ class TestExitCodes:
         (["coupled", "--k", "3..30000"], "field --k: 29998 rows up to n = 60001"),
         (["verify", "--max-n", "100000"], "field --max-n: must be at most"),
         (["coupled", "--k", "20", "--bisections", "100000"], "field --bisections: must be at most"),
+        (["verify", "--max-n", "81"], "field --max-n: must be at most 80"),
     ])
     def test_oversized_invocation_is_one_before_any_row(self, monkeypatch, capsys, args, message):
         def refuse(*_):
@@ -155,6 +170,14 @@ class TestExitCodes:
         monkeypatch.setattr(verify, "verify_theorems", refuse)
         assert main(args + ["--jobs", "1"]) == 1
         assert message in capsys.readouterr().err
+
+    def test_oversized_sweep_builds_no_rows(self, monkeypatch, capsys):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a row of an oversized sweep was built")
+
+        monkeypatch.setattr(cli, "Task", refuse)
+        assert main(["ke", "--family", "blpp", "--n", "4..50003", "--p", "all"]) == 1
+        assert "field --n: 1250025000 rows up to n = 50003" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["ke", "--family", "blpp", "--n", "4..40", "--p", "all"],
@@ -307,13 +330,13 @@ class TestSpecParsing:
 class TestTasks:
     def test_tasks_are_picklable_records(self):
         spec = parse_spec(["coupled", "--k", "3..4", "--bisections", "5", "--jobs", "1"])
-        tasks = cli._tasks_for(spec)
+        tasks = spec.tasks
         assert [t.params for t in tasks] == [{"k": 3}, {"k": 4}]
         assert pickle.loads(pickle.dumps(tasks)) == tasks
 
     def test_error_row_takes_params_from_the_task(self):
         spec = parse_spec(["ke", "--family", "blpp", "--n", "5", "--p", "3..4", "--jobs", "1"])
-        rows = [cli._run_task(t) for t in cli._tasks_for(spec)]
+        rows = [cli._run_task(t) for t in spec.tasks]
         assert [(r["family"], r["params"], r["verdict"]) for r in rows] == [
             ("blpp", {"n": 5, "p": 3}, "not-k-semistable"),
             ("blpp", {"n": 5, "p": 4}, "error:invalid-parameter"),
@@ -471,3 +494,19 @@ def test_main_fuzz_never_raises(tmp_path_factory, argv, fmt):
     if argv[0] != "coupled":  # coupled --k 2 still ends in a contract breach (ROADMAP item 8)
         report = out.read_text(encoding="utf-8") if out.exists() else ""
         assert "contract-breach" not in report + err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs, fmt=st.sampled_from(["json", "csv", "markdown"]))
+def test_spec_errors_come_only_from_parsing(argv, fmt):
+    try:
+        spec = parse_spec(argv + ["--format", fmt, "--jobs", "1"])
+    except cli.SpecError:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.execute(spec)
+    except cli.SpecError as exc:
+        raise AssertionError(f"{argv} parsed, then failed as an invocation: {exc}") from exc
+    except KstabError:
+        pass  # dump-instance of a member that cannot be built exits 2
