@@ -40,7 +40,6 @@ from .polytope import (
     Polygon,
     Segment,
     Triangle,
-    contains,
     polygon_from_halfplanes,
     triangulate,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "binomial",
     "blpp_resolve",
     "blqq_resolve",
-    "contains",
     "coupled_default_endpoints",
     "coupled_negative_threshold",
     "coupled_residual",

@@ -221,8 +221,28 @@ def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
     _check_rows("--k", len(k_values), 2 * max(k_values) + 1)
     if all(k < 2 for k in k_values):
         raise SpecError("field --k: must reach at least 2")
+    if start or end:
+        _check_endpoints(k_values, start, end)
     return tuple(Task("coupled", FamilyTag.BLPP, None, None, k, ns.bisections, start, end)
                  for k in k_values)
+
+
+def _check_endpoints(k_values: Sequence[int], start: tuple | None, end: tuple | None) -> None:
+    """A given endpoint has three coefficients, and at every k >= 2 both
+    ends of the segment, given or built in, are ample pairs.  The ample
+    region is convex, so the search then never leaves it."""
+    given = (("--start", start), ("--end", end))
+    for field, divisor in given:
+        if divisor is not None and len(divisor) != 3:
+            raise SpecError(f"field {field}: blpp divisors take 3 coefficients, got {len(divisor)}")
+    for k in k_values:
+        if k < 2:
+            continue  # the row reports its own invalid-parameter error
+        for (field, divisor), default in zip(given, criteria.coupled_default_endpoints(k)):
+            if not criteria.coupled_pair_ample(k, divisor or default):
+                which = "" if divisor else "the built-in endpoint "
+                shown = ",".join(str(v) for v in divisor or default)
+                raise SpecError(f"field {field}: {which}{shown} is not an ample pair at k = {k}")
 
 
 def _dump_member(ns: argparse.Namespace, tag: FamilyTag) -> tuple:

@@ -238,17 +238,9 @@ def quad_e_x_barycenter_closed(n: int) -> Fraction:
     return Fraction(2 * (n - 3) ** 2 * (n - 2), (n - 1) * (2 * n - 5))
 
 
-def quad_pt_margin(n: int) -> Fraction:
-    """Exact decision quantity of the quadpt test: second y-moment minus
-    (n-2) times the first, integrated against the weight."""
-    inst = resolve_anticanonical(FamilyTag.QUAD_PT, n)
-    _, _, ((y, _),) = _offsets(inst.target)
-    first, second = _weighted_integrals(inst, [((y, 1),), ((y, 2),)])
-    return second - (n - 2) * first
-
-
 def quad_pt_margin_closed(n: int) -> int:
-    """Integer closed form proportional to quad_pt_margin.
+    """Integer closed form of the quadpt margin: the second y-moment of the
+    weight minus (n-2) times the first, as ``mabuchi`` integrates them.
 
     Exactly (n-3)(n-1)n times the exact margin; only the shared sign
     matters to the verdict.

@@ -1,8 +1,7 @@
 """Rational convex polytopes in dimensions 1 and 2.
 
-Polygons are stored simultaneously as a strictly convex counterclockwise
-vertex cycle and as a redundancy-free list of halfplanes; the two views are
-kept consistent by construction.
+A polygon keeps both its vertex cycle and its edge halfplanes, and
+``polygon_from_halfplanes``, its one constructor, builds the two together.
 
 The exact kernels run in Python ints.  A halfplane is kept as coprime
 integers (a, b, c), so vertex enumeration is homogeneous: two boundary lines
@@ -15,9 +14,7 @@ of the feasible triples is taken in integers too, with the 3x3 determinant
 as the orientation test, and each of its edges takes the input plane that
 is tight at both ends as its halfplane; the result is strictly convex by
 construction and is not re-validated.  Only the hull vertices become
-Fractions.  Elsewhere, orientation tests and edge halfplanes put their
-points over one common denominator and build one Fraction, or none, per
-result.
+Fractions.
 
 Degenerate inputs are rejected loudly: an empty, unbounded, or
 lower-dimensional intersection raises a dedicated error rather than
@@ -67,13 +64,9 @@ class Segment:
     def vertices(self) -> tuple[tuple[Fraction], tuple[Fraction]]:
         return ((self.lo,), (self.hi,))
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, t: RationalLike) -> bool:
-        v = _as_fraction(t)
-        return self.lo <= v <= self.hi
+    def contains(self, point: Sequence[RationalLike]) -> bool:
+        (t,) = point
+        return self.lo <= _as_fraction(t) <= self.hi
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,6 @@ class HalfPlane:
             raise InvalidParameterError("halfplane normal must be nonzero")
         g = gcd(ia, ib, ic)
         return HalfPlane(Fraction(ia // g), Fraction(ib // g), Fraction(ic // g))
-
-    def holds_at(self, point: Sequence[RationalLike]) -> bool:
-        return self.slack(point) >= 0
 
     def slack(self, point: Sequence[RationalLike]) -> Fraction:
         """c - (a*x + b*y); nonnegative exactly on the halfplane."""
@@ -139,10 +129,6 @@ class Triangle:
     def doubled_signed_area(self) -> Fraction:
         return _cross(*self.vertices)
 
-    @property
-    def area(self) -> Fraction:
-        return abs(self.doubled_signed_area) / 2
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -156,53 +142,8 @@ class Polygon:
     vertices: tuple[Point, ...]
     halfplanes: tuple[HalfPlane, ...]
 
-    @staticmethod
-    def from_vertices(points: Iterable[Sequence[RationalLike]]) -> "Polygon":
-        vs = [make_point(*p) for p in points]
-        if len(vs) < 3:
-            raise DegenerateRegionError("a polygon needs at least three vertices")
-        if len(set(vs)) != len(vs):
-            raise InvalidParameterError("polygon vertices must be distinct")
-        m = len(vs)
-        for i in range(m):
-            if _cross(vs[i], vs[(i + 1) % m], vs[(i + 2) % m]) <= 0:
-                raise InvalidParameterError(
-                    "vertices must form a strictly convex counterclockwise cycle"
-                )
-        vs = _rotate_to_lex_min(vs)
-        planes = tuple(_edge_halfplane(vs[i], vs[(i + 1) % m]) for i in range(m))
-        return Polygon(tuple(vs), planes)
-
     def contains(self, point: Sequence[RationalLike]) -> bool:
-        return all(hp.holds_at(point) for hp in self.halfplanes)
-
-    @property
-    def area(self) -> Fraction:
-        return shoelace_area(self.vertices)
-
-
-def shoelace_area(vertices: Sequence[Point]) -> Fraction:
-    total = Fraction(0)
-    m = len(vertices)
-    for i in range(m):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % m]
-        total += x0 * y1 - x1 * y0
-    return total / 2
-
-
-def _rotate_to_lex_min(vs: list[Point]) -> list[Point]:
-    start = min(range(len(vs)), key=lambda i: vs[i])
-    return vs[start:] + vs[:start]
-
-
-def _edge_halfplane(v: Point, w: Point) -> HalfPlane:
-    # Outward normal of a counterclockwise edge v -> w, in integers: with
-    # every coordinate over den, the normal is (a, b)/den and the offset
-    # (a*vx + b*vy)/den^2, so multiplying through by den^2 clears both.
-    (vx, vy, wx, wy), den = _over_common_denominator((*v, *w))
-    a, b = wy - vy, vx - wx
-    return HalfPlane.of(a * den, b * den, a * vx + b * vy)
+        return all(hp.slack(point) >= 0 for hp in self.halfplanes)
 
 
 def _orientation(p: Triple, q: Triple, r: Triple) -> int:
@@ -308,11 +249,6 @@ def _classify_parallel_strip(rows: list[tuple[int, int, int]]) -> None:
     if lower is not None and upper is not None and lower > upper:
         raise EmptyRegionError("halfplane intersection is empty")
     raise UnboundedRegionError("halfplane intersection contains a line")
-
-
-def contains(polygon: Polygon, point: Sequence[RationalLike]) -> bool:
-    """Closed membership test against every halfplane."""
-    return polygon.contains(point)
 
 
 def triangulate(polygon: Polygon) -> tuple[Triangle, ...]:

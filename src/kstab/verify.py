@@ -175,10 +175,11 @@ def check_quadric_blowups(max_n: int) -> list[CheckResult]:
 def check_quadpt_mabuchi(max_n: int) -> list[CheckResult]:
     def no_mabuchi(n):
         verdict = criteria.mabuchi(resolve_anticanonical(FamilyTag.QUAD_PT, n))
-        first = dict(verdict.detail)["first_moment"]
+        detail = dict(verdict.detail)
+        first = detail["first_moment"]
         if verdict.status is not MabuchiStatus.NOT_EXISTS or first <= 0:
             yield f"n={n}: {verdict.status.value}, first y-moment {first}"
-        margin = criteria.quad_pt_margin(n)
+        margin = detail["second_moment"] - (n - 2) * first
         closed = criteria.quad_pt_margin_closed(n)
         if closed > 0:
             yield f"n={n}: closed margin {closed} > 0"
@@ -344,7 +345,7 @@ def check_quadrature_properties(max_n: int) -> list[CheckResult]:
     def inside(tag, n, p):
         inst = resolve_anticanonical(tag, n, p)
         bary = criteria.instance_barycenter(inst)
-        if not inst.domain.contains(bary[0] if len(bary) == 1 else bary):
+        if not inst.domain.contains(bary):
             yield f"{tag.cli_name} n={n}" + ("" if p is None else f",p={p}")
 
     blpp = _members(FamilyTag.BLPP, max_n)

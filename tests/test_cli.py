@@ -179,6 +179,16 @@ class TestExitCodes:
         assert main(["ke", "--family", "blpp", "--n", "4..50003", "--p", "all"]) == 1
         assert "field --n: 1250025000 rows up to n = 50003" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--k", "3", "--end", "1/2,1/2,1/2"], "field --end: 1/2,1/2,1/2 is not an ample pair at k = 3"),
+        (["--k", "3", "--start", "1,2"], "field --start: blpp divisors take 3 coefficients, got 2"),
+        (["--k", "2..4", "--start", "5/4,1/4,3/4"],
+         "field --end: the built-in endpoint 0,1/2,0 is not an ample pair at k = 2"),
+    ])
+    def test_coupled_endpoint_off_the_ample_region_is_one(self, capsys, args, message):
+        assert main(["coupled", *args, "--jobs", "1"]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["ke", "--family", "blpp", "--n", "4..40", "--p", "all"],
         ["ke", "--family", "quade", "--n", "162"],
@@ -460,6 +470,10 @@ _coefficients = st.one_of(
     st.sampled_from(["", "x", "1.5", " "]),
 )
 _divisors = st.lists(_coefficients, max_size=4).map(",".join)
+# coupled endpoints: malformed, or 1-4 rationals near the ample region
+_endpoints = st.one_of(_divisors, st.lists(
+    st.builds(F, st.integers(-1, 6), st.integers(1, 4)).map(str), min_size=1, max_size=4,
+).map(",".join))
 _families = st.sampled_from(sorted(cli._FAMILIES) + ["nope"])
 
 
@@ -474,7 +488,7 @@ _argvs = st.one_of(
               _maybe("--n", _ranges), _maybe("--p", _ranges)),
     st.tuples(st.just("mh"), _maybe("--n", _ranges), _maybe("--p", _ranges)),
     st.tuples(st.just("coupled"), _maybe("--k", _small_ranges), _maybe("--bisections", _small),
-              _maybe("--start", _divisors), _maybe("--end", _divisors)),
+              _maybe("--start", _endpoints), _maybe("--end", _endpoints)),
     st.tuples(st.just("verify"), st.sampled_from(["closed-forms", "ke", "mh", "x"]).map(lambda s: [f"--suite={s}"]),
               _ints.map(lambda n: [f"--max-n={n}"])),
     st.tuples(st.just("dump-instance"), _families.map(lambda f: [f"--family={f}"]),
@@ -491,9 +505,15 @@ def test_main_fuzz_never_raises(tmp_path_factory, argv, fmt):
     with contextlib.redirect_stderr(err):
         code = main(argv + ["--format", fmt, "--jobs", "1", "--out", str(out)])
     assert code in (0, 1, 2)
-    if argv[0] != "coupled":  # coupled --k 2 still ends in a contract breach (ROADMAP item 8)
-        report = out.read_text(encoding="utf-8") if out.exists() else ""
-        assert "contract-breach" not in report + err.getvalue()
+    report = out.read_text(encoding="utf-8") if out.exists() else ""
+    if "contract-breach" in report + err.getvalue():
+        # only the built-in coupled k = 2 row still ends in a contract breach
+        # (ROADMAP item 5)
+        assert argv[0] == "coupled"
+        assert all(t.start is None and t.end is None for t in parse_spec(argv + ["--jobs", "1"]).tasks)
+        breaches = [line for line in err.getvalue().splitlines() if "contract-breach" in line]
+        assert breaches == ["kstab: blpp k=2: error:contract-breach: "
+                            "segment leaves the ample region at parameter 1"]
 
 
 @settings(max_examples=200, deadline=None)

@@ -231,7 +231,10 @@ class TestMabuchiQuadPt:
     def test_margin_closed_form(self):
         assert criteria.quad_pt_margin_closed(5) == -44
         for n in range(5, 13):
-            margin = criteria.quad_pt_margin(n)
+            # the center axis is y with target 0, so the u-moments are y-moments
+            assert resolve_anticanonical(FamilyTag.QUAD_PT, n).target[1] == 0
+            detail = dict(_mabuchi(FamilyTag.QUAD_PT, n).detail)
+            margin = detail["second_moment"] - (n - 2) * detail["first_moment"]
             closed = criteria.quad_pt_margin_closed(n)
             assert (n - 3) * (n - 1) * n * margin == closed
             assert closed <= 0

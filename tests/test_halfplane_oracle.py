@@ -4,8 +4,14 @@ The reference below is vertex enumeration done entirely in Fractions: each
 pair of boundary lines is intersected by Cramer's rule, each candidate is
 tested with the slack c - (a x + b y), and the hull, its orientation tests
 and its edge halfplanes are Fraction arithmetic too.  It shares no kernel
-with ``kstab.polytope``, which runs in integers; it builds its ``Polygon``
-directly, so not even the constructor's checks are shared.
+with ``kstab.polytope``, which runs in integers, and it builds its
+``Polygon`` directly rather than through ``polygon_from_halfplanes``.
+
+The canonical form that every caller relies on is checked here too, on each
+random polygon and on every family domain up to n = 40: the vertices form a
+strictly convex counterclockwise cycle from the lexicographically smallest
+vertex, and the coprime halfplane of edge i is tight at vertices i and i+1
+with every other vertex strictly inside.
 """
 
 from fractions import Fraction as F
@@ -21,7 +27,8 @@ from kstab.errors import (
     KstabError,
     UnboundedRegionError,
 )
-from kstab.polytope import HalfPlane, Polygon, polygon_from_halfplanes
+from kstab.families import FamilyTag, resolve_anticanonical
+from kstab.polytope import HalfPlane, Polygon, _cross, polygon_from_halfplanes
 
 # ---------------------------------------------------------------------------
 # Reference: vertex enumeration in Fractions
@@ -206,3 +213,44 @@ class TestAgainstReference:
     @given(halfplane_sets())
     def test_random_sets(self, planes):
         assert_matches_reference(planes)
+
+
+# ---------------------------------------------------------------------------
+# Canonical form
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(polygon: Polygon) -> None:
+    vs, planes = polygon.vertices, polygon.halfplanes
+    m = len(vs)
+    assert m >= 3 and len(planes) == m
+    assert vs[0] == min(vs)
+    for i, hp in enumerate(planes):
+        assert _cross(vs[i], vs[(i + 1) % m], vs[(i + 2) % m]) > 0
+        ints = (hp.a, hp.b, hp.c)
+        assert all(v.denominator == 1 for v in ints) and gcd(*(int(v) for v in ints)) == 1
+        for j, v in enumerate(vs):
+            if j in (i, (i + 1) % m):
+                assert hp.slack(v) == 0, (i, j)
+            else:
+                assert hp.slack(v) > 0, (i, j)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(halfplane_sets())
+    def test_random_polygons(self, planes):
+        outcome = _outcome(polygon_from_halfplanes, planes)
+        if isinstance(outcome, Polygon):
+            assert_canonical(outcome)
+
+    def test_family_domains(self):
+        count = 0
+        for tag in FamilyTag:
+            for n in range(tag.min_n, 41):
+                for p in tag.p_values(n):
+                    domain = resolve_anticanonical(tag, n, p).domain
+                    if isinstance(domain, Polygon):
+                        assert_canonical(domain)
+                        count += 1
+        assert count > 600

@@ -302,7 +302,19 @@ class TestTriangleIntegration:
 
 
 def trapezoid_domain(k: int, l: int) -> Polygon:
-    return Polygon.from_vertices([(0, 0), (k, 0), (k, l), (0, k + l)])
+    """The polygon with vertices (0, 0), (k, 0), (k, l), (0, k + l)."""
+    return polygon_from_halfplanes([HalfPlane.of(-1, 0, 0), HalfPlane.of(0, -1, 0),
+                                    HalfPlane.of(1, 0, k), HalfPlane.of(1, 1, k + l)])
+
+
+def unit_square() -> Polygon:
+    return polygon_from_halfplanes([HalfPlane.of(-1, 0, 0), HalfPlane.of(1, 0, 1),
+                                    HalfPlane.of(0, -1, 0), HalfPlane.of(0, 1, 1)])
+
+
+def scaled(domain: Polygon, lam: F) -> Polygon:
+    """The domain stretched by lam about the origin: each plane's c scales."""
+    return polygon_from_halfplanes([HalfPlane.of(hp.a, hp.b, lam * hp.c) for hp in domain.halfplanes])
 
 
 class TestPolygonIntegration:
@@ -314,7 +326,7 @@ class TestPolygonIntegration:
         assert iterated_polygon_integral(f, domain) == F(-9, 40)
 
     def test_unit_square(self):
-        square = Polygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+        square = unit_square()
         assert integrate_poly2_polygon(Poly2.constant(1), square) == 1
 
     def test_exceptional_quadric_barycenter(self):
@@ -353,10 +365,9 @@ class TestPolygonIntegration:
     def test_scaling_covariance(self):
         lam = F(3, 2)
         domain = trapezoid_domain(2, 2)
-        scaled = Polygon.from_vertices([(lam * x, lam * y) for x, y in domain.vertices])
         f = Poly2.from_terms([(2, 0, 1), (1, 1, F(1, 2)), (0, 0, -3)])
         f_pulled_back = f.compose_affine((0, lam, 0), (0, 0, lam))
-        assert integrate_poly2_polygon(f, scaled) == lam ** 2 * integrate_poly2_polygon(
+        assert integrate_poly2_polygon(f, scaled(domain, lam)) == lam ** 2 * integrate_poly2_polygon(
             f_pulled_back, domain
         )
 
@@ -364,10 +375,9 @@ class TestPolygonIntegration:
         # homogeneous weights rescale barycenters linearly
         lam = F(5, 2)
         domain = trapezoid_domain(2, 3)
-        scaled = Polygon.from_vertices([(lam * x, lam * y) for x, y in domain.vertices])
         w = Poly2.monomial(2, 1)
         bx, by = barycenter(w, domain)
-        assert barycenter(w, scaled) == (lam * bx, lam * by)
+        assert barycenter(w, scaled(domain, lam)) == (lam * bx, lam * by)
 
     def test_random_small_cases_match_oracle(self):
         rng = random.Random(7)
@@ -399,7 +409,7 @@ class TestPolygonIntegration:
 
 class TestMomentsAndBarycenter:
     def test_unit_square_centroid(self):
-        square = Polygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+        square = unit_square()
         assert barycenter(Poly2.constant(1), square) == (F(1, 2), F(1, 2))
 
     def test_positive_mass_across_families(self):
@@ -418,7 +428,8 @@ class TestMomentsAndBarycenter:
         assert barycenter(w, inst.domain)[1] == 0
 
     def test_zero_mass_is_an_error(self):
-        square = Polygon.from_vertices([(0, -1), (1, -1), (1, 1), (0, 1)])
+        square = polygon_from_halfplanes([HalfPlane.of(-1, 0, 0), HalfPlane.of(1, 0, 1),
+                                          HalfPlane.of(0, -1, 1), HalfPlane.of(0, 1, 1)])
         odd_weight = Poly2.variable(1)
         with pytest.raises(ZeroMassError):
             barycenter(odd_weight, square)
