@@ -30,7 +30,7 @@ from typing import Sequence
 from . import criteria, verify
 from .errors import InvalidParameterError, KstabError, NoBracketError
 from .families import FamilyTag, instance_record, resolve
-from .poly import rational_from_str
+from .poly import rational_from_str, rational_to_str
 
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "KSTAB_JOBS"
@@ -212,8 +212,8 @@ def _member_tasks(ns: argparse.Namespace, tag: FamilyTag) -> tuple[Task, ...]:
 
 def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
     k_values = _parse_range(ns.k, "--k")
-    start = _parse_divisor(ns.start, "--start") if ns.start else None
-    end = _parse_divisor(ns.end, "--end") if ns.end else None
+    start = None if ns.start is None else _parse_divisor(ns.start, "--start")
+    end = None if ns.end is None else _parse_divisor(ns.end, "--end")
     if ns.bisections < 0:
         raise SpecError("field --bisections: must be nonnegative")
     if ns.bisections > MAX_WORK:
@@ -249,7 +249,7 @@ def _dump_member(ns: argparse.Namespace, tag: FamilyTag) -> tuple:
     if ns.p is None and tag.takes_p:
         raise SpecError("field --p: required for this family")
     divisor = None
-    if ns.divisor:
+    if ns.divisor is not None:
         if tag is FamilyTag.BLQQ:
             raise SpecError("field --divisor: blqq exposes only the anticanonical divisor")
         divisor = _parse_divisor(ns.divisor, "--divisor")
@@ -394,15 +394,8 @@ def decimal_str(value: Fraction) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _exact_str(value: Fraction) -> str:
-    """``"num/den"``, as ``rational_to_str`` writes it, through ``Decimal``,
-    which is exact and not subject to the interpreter's int-to-str limit of
-    4300 digits."""
-    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
-
-
 def _witness_strings(row: dict) -> tuple[dict, dict]:
-    exact = {key: _exact_str(value) for key, value in row["witness"].items()}
+    exact = {key: rational_to_str(value) for key, value in row["witness"].items()}
     approx = {key: decimal_str(value) for key, value in row["witness"].items()}
     return exact, approx
 

@@ -3,9 +3,9 @@ cross-checks for every integral they rely on.
 
 All verdicts are decided on exact rationals and carry their witnesses, so a
 report line can be re-verified independently of this code.  Every weight
-integral goes through ``_weighted_integrals``, which appends extra affine
-factors to the factored weight and hands the product to
-``quadrature.integrate_factored``; nothing here multiplies a weight out.
+integral is read from the instance, ``FamilyInstance.moments`` or
+``FamilyInstance.integrals``; nothing here integrates, memoizes or
+multiplies a weight out.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -23,12 +22,12 @@ from .errors import (
     NoBracketError,
     NotAmpleError,
     NotAnticanonicalError,
-    ZeroMassError,
 )
 from .families import (
     Divisor,
     FamilyInstance,
     FamilyTag,
+    _offsets,
     anticanonical_divisor,
     blpp_ample,
     blpp_resolve,
@@ -36,10 +35,6 @@ from .families import (
     resolve_anticanonical,
 )
 from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, binomial
-from .quadrature import integrate_factored
-
-# Extra affine factors of one weighted integral, as (form, multiplicity) pairs.
-Factors = tuple[tuple[AffineForm, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -83,49 +78,6 @@ def classify_offset(xi: Sequence[Fraction], strict_axes: Sequence[int]) -> KESta
     return KEStatus.BOUNDARY
 
 
-def _weighted_integrals(inst: FamilyInstance, extras: Sequence[Factors]) -> list[Fraction]:
-    """Integral over the instance domain of the instance weight times the
-    product of each tuple of affine factors in ``extras``."""
-    w = inst.weight
-    return [integrate_factored(FactoredWeight(w.prefactor, w.factors + extra, w.nvars), inst.domain)
-            for extra in extras]
-
-
-def _offsets(origin: Sequence[Fraction]) -> list[Factors]:
-    """No factor, then the factor x_a - origin[a] for each axis a, in len(origin) variables."""
-    dim = len(origin)
-    axes = [[int(i == a) for i in range(dim)] for a in range(dim)]
-    return [()] + [((AffineForm.of(-o, *unit), 1),) for o, unit in zip(origin, axes)]
-
-
-def _moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Weight mass and barycenter (a 1- or 2-vector) of an instance domain;
-    requires nonzero mass."""
-    mass, *firsts = _weighted_integrals(inst, _offsets((Fraction(0),) * len(inst.target)))
-    if mass == 0:
-        raise ZeroMassError("weight has zero mass on the instance domain")
-    return mass, tuple(f / mass for f in firsts)
-
-
-@lru_cache(maxsize=None)
-def instance_moments(inst: FamilyInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """``_moments``, memoized per process: a ``FamilyInstance`` is a frozen
-    tree of tuples and hashes by value, so every criterion that asks for an
-    equal member reads one integration."""
-    return _moments(inst)
-
-
-def instance_barycenter(inst: FamilyInstance) -> tuple[Fraction, ...]:
-    """Weight barycenter of an instance domain, as a 1- or 2-vector."""
-    return instance_moments(inst)[1]
-
-
-def _moment_about_target(inst: FamilyInstance, axis: int) -> Fraction:
-    """Integral of (coordinate ``axis`` - its target) times the weight."""
-    mass, bary = instance_moments(inst)
-    return mass * (bary[axis] - inst.target[axis])
-
-
 def _check_anticanonical(inst: FamilyInstance) -> None:
     """The criteria hold for the anticanonical class of a member only."""
     if not inst.ample:
@@ -139,54 +91,30 @@ def _check_anticanonical(inst: FamilyInstance) -> None:
 def ke_classify(inst: FamilyInstance) -> KEVerdict:
     """Kähler-Einstein / K-semistability verdict for an anticanonical instance."""
     _check_anticanonical(inst)
-    mass, bary = instance_moments(inst)
+    mass, bary = inst.moments
     xi = tuple(b - t for b, t in zip(bary, inst.target))
     return KEVerdict(classify_offset(xi, inst.strict_axes), xi, mass, bary)
 
 
 # ---------------------------------------------------------------------------
-# Blown-up projective space: exact moment integral and closed form
+# Blown-up projective space: closed form of the stability moment
 # ---------------------------------------------------------------------------
 
 
-def blpp_moment(n: int, p: int) -> Fraction:
-    """Exact first moment of the anticanonical blpp weight about its target.
-
-    This is the integral over the moment segment of (t - target) times the
-    weight; its sign decides K-stability and its vanishing characterizes
-    the Kähler-Einstein members.
-    """
-    return _moment_about_target(resolve_anticanonical(FamilyTag.BLPP, n, p), 0)
-
-
 def blpp_moment_closed(n: int, p: int) -> Fraction:
-    """Closed form of blpp_moment from the explicit antiderivative."""
+    """Closed form of blpp's ``mass * xi[0]`` from the explicit antiderivative."""
     check_params(FamilyTag.BLPP, n, p)
     q = n - p
     return Fraction(-((p - 1) ** p * (q + 1) ** q - (p + 1) ** p * (q - 1) ** q), n)
 
 
 # ---------------------------------------------------------------------------
-# Blown-up quadric (codimension >= 3 center): moments and closed forms
+# Blown-up quadric (codimension >= 3 center): closed forms of the moments
 # ---------------------------------------------------------------------------
 
 
-def _blqq_instance(k: int, l: int) -> FamilyInstance:
-    return resolve_anticanonical(FamilyTag.BLQQ, k + l + 2, k + 1)
-
-
-def blqq_x_moment(k: int, l: int) -> Fraction:
-    """Exact integral of (x - (k-1)) x^(k-1) y^(l-1) over the blqq domain."""
-    return _moment_about_target(_blqq_instance(k, l), 0)
-
-
-def blqq_y_moment(k: int, l: int) -> Fraction:
-    """Exact integral of (y - (l-1)) x^(k-1) y^(l-1) over the blqq domain."""
-    return _moment_about_target(_blqq_instance(k, l), 1)
-
-
 def blqq_x_moment_closed(k: int, l: int) -> Fraction:
-    """Closed form of blqq_x_moment via a beta-function expansion.
+    """Closed form of ``mass * xi[0]`` of blqq n = k+l+2, p = k+1, by a beta expansion.
 
     Summand j carries the factor (j(1-k) + 1), so for k >= 3 every summand
     past the first is negative; that structure drives the instability half
@@ -206,14 +134,14 @@ def blqq_x_moment_closed(k: int, l: int) -> Fraction:
 
 
 def blqq_x_moment_closed_k2(l: int) -> Fraction:
-    """Closed form of blqq_x_moment(2, l) from the direct antiderivative."""
+    """Closed form of ``mass * xi[0]`` at k = 2 from the direct antiderivative."""
     if l < 2:
         raise InvalidParameterError(f"need l >= 2, got l={l}")
     return Fraction((l + 2) ** (l + 2) - (7 * l + 12) * l ** (l + 1), l * (l + 2) * (l + 3))
 
 
 def blqq_y_moment_closed_k2(l: int) -> Fraction:
-    """Closed form of blqq_y_moment(2, l) from the direct antiderivative."""
+    """Closed form of ``mass * xi[1]`` at k = 2 from the direct antiderivative."""
     if l < 2:
         raise InvalidParameterError(f"need l >= 2, got l={l}")
     return Fraction(
@@ -227,13 +155,8 @@ def blqq_y_moment_closed_k2(l: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def quad_e_x_barycenter(n: int) -> Fraction:
-    """Exact x-barycenter of the anticanonical quade instance."""
-    return instance_barycenter(resolve_anticanonical(FamilyTag.QUAD_E, n))[0]
-
-
 def quad_e_x_barycenter_closed(n: int) -> Fraction:
-    """Closed form of the quade anticanonical x-barycenter."""
+    """Closed form of ``barycenter[0]`` of the anticanonical quade verdict."""
     check_params(FamilyTag.QUAD_E, n)
     return Fraction(2 * (n - 3) ** 2 * (n - 2), (n - 1) * (2 * n - 5))
 
@@ -285,7 +208,7 @@ def mabuchi(inst: FamilyInstance) -> MabuchiVerdict:
         )
     (axis,) = center
     ((u, _),) = _offsets(inst.target)[1 + axis]
-    first, second = _weighted_integrals(inst, [((u, 1),), ((u, 2),)])
+    first, second = inst.integrals([((u, 1),), ((u, 2),)])
     detail = (("first_moment", first), ("second_moment", second))
     outside = MabuchiStatus.INCONCLUSIVE if inst.strict_axes else MabuchiStatus.EXISTS
     if first == 0:
@@ -339,7 +262,7 @@ def mh_certificate(n: int, p: int) -> MHCertificate:
     _, u = _offsets(inst.target)
     shifted = tuple((AffineForm.of(form.constant - slope * target, slope), mult)
                     for form, mult in reflected.factors for slope in form.linear)
-    (moment,) = _weighted_integrals(inst, [u + shifted])
+    (moment,) = inst.integrals([u + shifted])
     if moment != 0:
         raise ContractError(f"multiplier moment must vanish, got {moment} for n={n}, p={p}")
     return MHCertificate(reflected, moment, minima)
@@ -399,7 +322,7 @@ def coupled_residual(k: int, divisor: Sequence[RationalLike]) -> Fraction:
     n, p = 2 * k + 1, k
     first = blpp_resolve(n, p, divisor)
     second = blpp_resolve(n, p, coupled_complement(k, divisor))
-    return _moments(first)[1][0] + _moments(second)[1][0] - first.target[0]
+    return first.moments[1][0] + second.moments[1][0] - first.target[0]
 
 
 def coupled_default_endpoints(k: int) -> tuple[Divisor, Divisor]:

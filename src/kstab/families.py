@@ -11,7 +11,8 @@ stability criteria consume: a rational moment domain, a factored
 integration weight, a target vector, the strict axes and an ampleness
 verdict.  The target is not stated anywhere: it is 2*rho = sum_j m_j
 grad l_j over the weight factors l_j^m_j, halved on blpp's undoubled t
-axis.
+axis.  Each instance owns its ``integrals`` and its ``moments``, integrated
+on first read; ``resolve``'s memo by value is the package's only memo.
 
 Families and their divisor coordinates:
 
@@ -45,18 +46,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence, Union
 
-from .errors import InvalidParameterError, WeightPositivityError
+from .errors import InvalidParameterError, WeightPositivityError, ZeroMassError
 from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, rational_to_str
 from .polytope import HalfPlane, Polygon, Segment, polygon_from_halfplanes
+from .quadrature import integrate_factored
 
 Divisor = tuple[Fraction, ...]
 # A facet <normal, x> <= offset of a moment domain.
 Facet = tuple[tuple[int, ...], RationalLike]
 # A weight factor (constant + <slopes, x>) ** power, as ((constant, *slopes), power).
 Factor = tuple[tuple[RationalLike, ...], int]
+# Extra affine factors of one weighted integral, as (form, multiplicity) pairs.
+Factors = tuple[tuple[AffineForm, int], ...]
 
 
 class FamilyTag(enum.Enum):
@@ -144,9 +148,16 @@ FAMILY_DATA = {
 }
 
 
+def _offsets(origin: Sequence[Fraction]) -> list[Factors]:
+    """No factor, then the factor x_a - origin[a] for each axis a, in len(origin) variables."""
+    dim = len(origin)
+    axes = [[int(i == a) for i in range(dim)] for a in range(dim)]
+    return [()] + [((AffineForm.of(-o, *unit), 1),) for o, unit in zip(origin, axes)]
+
+
 @dataclass(frozen=True)
 class FamilyInstance:
-    """A family member with its divisor resolved to criterion inputs."""
+    """A family member resolved to criterion inputs; it owns its weight integrals."""
 
     tag: FamilyTag
     dims: tuple[int, ...]
@@ -156,6 +167,20 @@ class FamilyInstance:
     target: tuple[Fraction, ...]
     strict_axes: tuple[int, ...]
     ample: bool
+
+    def integrals(self, extras: Sequence[Factors]) -> list[Fraction]:
+        """Integrals of the weight times each tuple of ``extras``, never multiplied out."""
+        w = self.weight
+        return [integrate_factored(FactoredWeight(w.prefactor, w.factors + extra, w.nvars), self.domain)
+                for extra in extras]
+
+    @cached_property
+    def moments(self) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """Weight mass and barycenter (a 1- or 2-vector); requires nonzero mass."""
+        mass, *firsts = self.integrals(_offsets((Fraction(0),) * len(self.target)))
+        if mass == 0:
+            raise ZeroMassError("weight has zero mass on the instance domain")
+        return mass, tuple(f / mass for f in firsts)
 
 
 def check_params(tag: FamilyTag, n: int, p: int | None = None) -> None:

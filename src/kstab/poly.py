@@ -29,6 +29,7 @@ from .errors import InvalidParameterError
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
+_PIECE = 10 ** 600
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -51,9 +52,20 @@ def rational_from_str(text: str) -> Fraction:
 
 
 def rational_to_str(value: RationalLike) -> str:
-    """Render a rational as ``"num/den"`` (denominator kept even when 1)."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    """Render a rational as ``"num/den"`` (denominator kept even when 1), of any length."""
+    f = _as_fraction(value)
+    return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n, 600 at a time: under any int-to-str limit (640 at least)."""
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    pieces, rest = [], abs(n)
+    while rest >= _PIECE:
+        rest, low = divmod(rest, _PIECE)
+        pieces.append(f"{low:0600d}")
+    return "-" * (n < 0) + str(rest) + "".join(reversed(pieces))
 
 
 def binomial(n: int, k: int) -> int:

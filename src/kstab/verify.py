@@ -64,6 +64,11 @@ def _members(tag: FamilyTag, max_n: int) -> list[tuple[int, int | None]]:
     return [(n, p) for n in range(tag.min_n, max_n + 1) for p in tag.p_values(n)]
 
 
+def _verdict(tag: FamilyTag, n: int, p: int | None = None) -> criteria.KEVerdict:
+    """The ``ke`` verdict of an anticanonical member."""
+    return criteria.ke_classify(resolve_anticanonical(tag, n, p))
+
+
 # --------------------------------------------------------------------------
 # Criterion 1: closed-form oracle equivalence
 # --------------------------------------------------------------------------
@@ -71,28 +76,30 @@ def _members(tag: FamilyTag, max_n: int) -> list[tuple[int, int | None]]:
 
 def check_closed_forms(max_n: int) -> list[CheckResult]:
     def blpp(n, p):
-        exact, closed = criteria.blpp_moment(n, p), criteria.blpp_moment_closed(n, p)
+        verdict = _verdict(FamilyTag.BLPP, n, p)
+        exact, closed = verdict.mass * verdict.xi[0], criteria.blpp_moment_closed(n, p)
         if exact != closed:
             yield f"n={n},p={p}: {exact} != {closed}"
 
     def blqq(k, l):
-        exact, closed = criteria.blqq_x_moment(k, l), criteria.blqq_x_moment_closed(k, l)
+        verdict = _verdict(FamilyTag.BLQQ, k + l + 2, k + 1)
+        exact, closed = verdict.mass * verdict.xi[0], criteria.blqq_x_moment_closed(k, l)
         if exact != closed:
             yield f"k={k},l={l}: {exact} != {closed}"
 
-    k2_forms = {"x": (criteria.blqq_x_moment, criteria.blqq_x_moment_closed_k2),
-                "y": (criteria.blqq_y_moment, criteria.blqq_y_moment_closed_k2)}
+    closed_k2 = {"x": criteria.blqq_x_moment_closed_k2, "y": criteria.blqq_y_moment_closed_k2}
 
     def blqq_k2(l, axis):
-        moment, closed_k2 = k2_forms[axis]
-        exact, closed = moment(2, l), closed_k2(l)
+        verdict = _verdict(FamilyTag.BLQQ, l + 4, 3)
+        exact, closed = verdict.mass * verdict.xi["xy".index(axis)], closed_k2[axis](l)
         if exact != closed:
             yield f"l={l} {axis}: {exact} != {closed}"
         if exact <= 0:
             yield f"l={l} {axis}: moment {exact} not positive"
 
     def quade(n, _p):
-        exact, closed = criteria.quad_e_x_barycenter(n), criteria.quad_e_x_barycenter_closed(n)
+        exact = _verdict(FamilyTag.QUAD_E, n).barycenter[0]
+        closed = criteria.quad_e_x_barycenter_closed(n)
         if exact != closed:
             yield f"n={n}: {exact} != {closed}"
 
@@ -118,7 +125,7 @@ def check_closed_forms(max_n: int) -> list[CheckResult]:
 
 def check_blpp_classification(max_n: int) -> list[CheckResult]:
     def classify(n, p):
-        verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p))
+        verdict = _verdict(FamilyTag.BLPP, n, p)
         if (verdict.status is KEStatus.KAHLER_EINSTEIN) != (2 * p == n):
             yield f"n={n},p={p}: {verdict.status.value}"
         # the stability moment is mass * xi with mass > 0, so xi carries its sign
@@ -138,17 +145,17 @@ def check_blpp_classification(max_n: int) -> list[CheckResult]:
 
 def check_quadric_blowups(max_n: int) -> list[CheckResult]:
     def unstable(n, p):
-        verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLQQ, n, p))
+        verdict = _verdict(FamilyTag.BLQQ, n, p)
         if verdict.status is not KEStatus.NOT_K_SEMISTABLE:
             yield f"n={n},p={p}: {verdict.status.value}"
 
     def balanced(n):
-        verdict = criteria.ke_classify(resolve_anticanonical(FamilyTag.BLQQ, n, 3))
+        verdict = _verdict(FamilyTag.BLQQ, n, 3)
         if verdict.status is not KEStatus.KAHLER_EINSTEIN:
             yield f"n={n}: {verdict.status.value}, xi={verdict.xi}"
 
     def positive_x(tag, n):
-        verdict = criteria.ke_classify(resolve_anticanonical(tag, n))
+        verdict = _verdict(tag, n)
         if verdict.xi[1] != 0:
             yield f"n={n}: y-witness {verdict.xi[1]} != 0"
         if not (verdict.status is KEStatus.KAHLER_EINSTEIN and verdict.xi[0] > 0):
@@ -344,13 +351,11 @@ def check_quadrature_properties(max_n: int) -> list[CheckResult]:
 
     def inside(tag, n, p):
         inst = resolve_anticanonical(tag, n, p)
-        bary = criteria.instance_barycenter(inst)
-        if not inst.domain.contains(bary):
+        if not inst.domain.contains(inst.moments[1]):
             yield f"{tag.cli_name} n={n}" + ("" if p is None else f",p={p}")
 
     blpp = _members(FamilyTag.BLPP, max_n)
-    xi = {(n, p): criteria.ke_classify(resolve_anticanonical(FamilyTag.BLPP, n, p)).xi[0]
-          for n, p in blpp}
+    xi = {(n, p): _verdict(FamilyTag.BLPP, n, p).xi[0] for n, p in blpp}
 
     def mirrored(n, p):
         if xi[n, p] != -xi[n, n - p]:
@@ -378,9 +383,8 @@ def _cli_determinism_check() -> CheckResult:
     from . import cli  # local import; cli depends on this module
 
     def render(args):
-        # Empty the memos, so each render resolves and integrates every row afresh.
+        # Empty the memo, so each render resolves and integrates every row afresh.
         resolve.cache_clear()
-        criteria.instance_moments.cache_clear()
         return cli.render_to_string(args)
 
     def rerun_identical(fmt):

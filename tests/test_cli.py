@@ -79,7 +79,6 @@ class TestDeterminism:
         first = render_to_string(args)
         # the second render recomputes every row, as a fresh process would
         families.resolve.cache_clear()
-        criteria.instance_moments.cache_clear()
         assert render_to_string(args) == first
 
     def test_jobs_do_not_change_output(self):
@@ -102,20 +101,19 @@ class TestMemos:
     def test_verify_bytes_do_not_depend_on_the_memos(self, monkeypatch):
         args = ["verify", "--suite", "all", "--max-n", "10", "--format", "json"]
         memoized = render_to_string(args)
-        for module, name in ((families, "_resolve"), (criteria, "instance_moments")):
-            cached = getattr(module, name)
+        cached = families._resolve
 
-            def uncached(*call_args, cached=cached):
-                cached.cache_clear()
-                return cached(*call_args)
+        def uncached(*call_args):
+            cached.cache_clear()
+            return cached(*call_args)
 
-            uncached.cache_clear = cached.cache_clear
-            monkeypatch.setattr(module, name, uncached)
+        uncached.cache_clear = cached.cache_clear
+        monkeypatch.setattr(families, "_resolve", uncached)
         assert render_to_string(args) == memoized
 
     def test_determinism_check_integrates_in_every_render(self, monkeypatch):
         calls = []
-        integrate = criteria.integrate_factored
+        integrate = families.integrate_factored
 
         def counting(weight, domain):
             calls.append(None)
@@ -130,7 +128,7 @@ class TestMemos:
             per_render.append(len(calls) - before)
             return text
 
-        monkeypatch.setattr(criteria, "integrate_factored", counting)
+        monkeypatch.setattr(families, "integrate_factored", counting)
         monkeypatch.setattr(cli, "render_to_string", recording)
         assert verify._cli_determinism_check().passed
         assert len(per_render) == 4 and all(per_render), per_render
@@ -188,6 +186,18 @@ class TestExitCodes:
     def test_coupled_endpoint_off_the_ample_region_is_one(self, capsys, args, message):
         assert main(["coupled", *args, "--jobs", "1"]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["coupled", "--k=3", "--end="], "field --end: no coefficients given"),
+        (["coupled", "--k=3", "--start="], "field --start: no coefficients given"),
+        (["dump-instance", "--family", "quade", "--n", "5", "--divisor="],
+         "field --divisor: no coefficients given"),
+    ])
+    def test_empty_flag_value_is_one(self, capsys, args, message):
+        # an empty value is not an absent flag: it never falls back to a default
+        assert main(args + ["--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("args", [
         ["ke", "--family", "blpp", "--n", "4..40", "--p", "all"],
@@ -307,6 +317,21 @@ class TestOtherCommands:
         record = json.loads(text)
         assert record["divisor"] == ["3/1", "1/2", "1/1"]
         assert record["ample"] is True
+
+    def test_dump_instance_beyond_the_int_to_str_limit(self, capsys):
+        divisor = (F(1, 10 ** 3999 + 7), F(1, 10 ** 3999 + 9))
+        args = ["dump-instance", "--family", "quade", "--n", "9",
+                "--divisor", ",".join(f"1/{v.denominator}" for v in divisor)]
+        assert main(args) == 0
+        vertices = json.loads(capsys.readouterr().out)["domain"]["vertices"]
+        expected = families.quad_resolve(FamilyTag.QUAD_E, 9, divisor).domain.vertices
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # only to write the expected digits
+        try:
+            assert max(len(str(y.denominator)) for _, y in expected) > limit
+            assert vertices == [[f"{c.numerator}/{c.denominator}" for c in v] for v in expected]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 """Decision procedures: classification, Mabuchi tests, certificates, search."""
 
+import weakref
 from fractions import Fraction as F
 from math import comb
 
@@ -14,10 +15,21 @@ from kstab.errors import (
     NotAmpleError,
     NotAnticanonicalError,
 )
-from kstab.families import FamilyTag, blpp_resolve, quad_resolve, resolve_anticanonical
+from kstab.families import FamilyTag, blpp_resolve, resolve_anticanonical
 from kstab.poly import FactoredWeight, Poly1
 from kstab.polytope import Segment
 from kstab.quadrature import integrate_poly1, moments, moments1
+
+
+def _verdict(tag, n, p=None):
+    return criteria.ke_classify(resolve_anticanonical(tag, n, p))
+
+
+def _moment(tag, n, p, axis):
+    """The first weight moment about the target on one axis, read from the
+    ke verdict: mass times the barycenter offset."""
+    verdict = _verdict(tag, n, p)
+    return verdict.mass * verdict.xi[axis]
 
 
 class TestClassifyOffset:
@@ -94,13 +106,14 @@ class TestMomentClosedForms:
         assert criteria.blpp_moment_closed(6, 2) == F(52, 3)
 
     def test_blpp_signs(self):
-        assert criteria.blpp_moment(10, 5) == 0
-        assert criteria.blpp_moment(5, 2) == F(8, 5)
-        assert criteria.blpp_moment(5, 3) == F(-8, 5)
+        assert _moment(FamilyTag.BLPP, 10, 5, 0) == 0
+        assert _moment(FamilyTag.BLPP, 5, 2, 0) == F(8, 5)
+        assert _moment(FamilyTag.BLPP, 5, 3, 0) == F(-8, 5)
 
     def test_blqq_beta_expansion(self):
         assert criteria.blqq_x_moment_closed(3, 2) == F(-9, 40)
-        assert criteria.blqq_x_moment(3, 2) == F(-9, 40)
+        # k = 3, l = 2 is the member n = k+l+2 = 7, p = k+1 = 4
+        assert _moment(FamilyTag.BLQQ, 7, 4, 0) == F(-9, 40)
 
     def test_blqq_sign_structure(self):
         for l in range(2, 13):
@@ -113,13 +126,14 @@ class TestMomentClosedForms:
         assert criteria.blqq_x_moment_closed_k2(2) == F(6, 5)
         assert criteria.blqq_y_moment_closed_k2(2) == F(98, 15)
         for l in range(2, 13):
-            assert criteria.blqq_x_moment(2, l) == criteria.blqq_x_moment_closed_k2(l)
-            assert criteria.blqq_y_moment(2, l) == criteria.blqq_y_moment_closed_k2(l)
+            assert _moment(FamilyTag.BLQQ, l + 4, 3, 0) == criteria.blqq_x_moment_closed_k2(l)
+            assert _moment(FamilyTag.BLQQ, l + 4, 3, 1) == criteria.blqq_y_moment_closed_k2(l)
 
     def test_quade_ratio(self):
         assert criteria.quad_e_x_barycenter_closed(5) == F(6, 5)
         for n in range(5, 13):
-            assert criteria.quad_e_x_barycenter(n) == criteria.quad_e_x_barycenter_closed(n)
+            assert (_verdict(FamilyTag.QUAD_E, n).barycenter[0]
+                    == criteria.quad_e_x_barycenter_closed(n))
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -158,7 +172,7 @@ class TestQuadeValuativeOracle:
 
     def test_beta_equals_the_x_excess(self):
         for n in range(5, 41):
-            assert quade_beta(n) == criteria.quad_e_x_barycenter(n) - (n - 4), n
+            assert quade_beta(n) == _verdict(FamilyTag.QUAD_E, n).xi[0], n
 
     def test_beta_closed_form(self):
         for n in range(5, 41):
@@ -361,32 +375,71 @@ class TestCoupledSearch:
             criteria.coupled_search(6, start, outside, max_bisections=8)
 
 
-class TestInstanceMomentsMemo:
-    def test_equal_but_distinct_instance_reads_the_memo(self, monkeypatch):
-        pairs = [(blpp_resolve(9, 3, (F(9, 2), F(-1, 2), F(5, 2))),
-                  blpp_resolve(9, 3, [F(9, 2), F(-1, 2), F(5, 2)])),
-                 (quad_resolve(FamilyTag.QUAD_PM, 8, (3, 1, 2)),
-                  quad_resolve(FamilyTag.QUAD_PM, 8, [F(3), 1, 2]))]
-        first = [criteria.instance_moments(a) for a, _ in pairs]
+@pytest.fixture
+def integrations(monkeypatch):
+    """The calls to the integrator behind every instance integral, one entry each."""
+    calls = []
+    integrate = families.integrate_factored
 
-        def refuse(weight, domain):
-            raise AssertionError("an equal instance was integrated again")
+    def counting(weight, domain):
+        calls.append(None)
+        return integrate(weight, domain)
 
-        monkeypatch.setattr(criteria, "integrate_factored", refuse)
-        for (a, b), moments_a in zip(pairs, first):
-            assert a is not b and a == b and hash(a) == hash(b)
-            assert criteria.instance_moments(b) == moments_a
+    monkeypatch.setattr(families, "integrate_factored", counting)
+    return calls
 
 
-class TestCoupledProbesStayOutOfTheMemos:
-    def test_search_leaves_both_memos_empty(self):
-        # every probe of a coupled search is a new divisor class, read once
-        families.resolve.cache_clear()
-        criteria.instance_moments.cache_clear()
+ANTICANONICAL_MEMBERS = [(FamilyTag.BLPP, 9, 3), (FamilyTag.BLQQ, 8, 4),
+                         (FamilyTag.QUAD_E, 7, None), (FamilyTag.QUAD_PT, 7, None),
+                         (FamilyTag.QUAD_PM, 7, None)]
+
+
+class TestMomentsIntegrateOnce:
+    """A member's moments are integrated on first read, once, and kept on
+    the one instance that ``resolve`` returns for it."""
+
+    @pytest.mark.parametrize("tag, n, p", ANTICANONICAL_MEMBERS)
+    def test_resolve_integrates_nothing(self, integrations, tag, n, p):
+        resolve_anticanonical(tag, n, p)
+        families.resolve(tag, n, p, families.anticanonical_divisor(tag, n, p))
+        assert integrations == []
+
+    @pytest.mark.parametrize("tag, n, p", ANTICANONICAL_MEMBERS)
+    def test_first_read_integrates_mass_and_each_axis_once(self, integrations, tag, n, p):
+        inst = resolve_anticanonical(tag, n, p)
+        verdict = criteria.ke_classify(inst)
+        assert len(integrations) == tag.dimension + 1
+        assert resolve_anticanonical(tag, n, p) is inst
+        assert criteria.ke_classify(resolve_anticanonical(tag, n, p)) == verdict
+        assert len(integrations) == tag.dimension + 1
+
+    @pytest.mark.parametrize("tag, n, p", [(FamilyTag.BLPP, 9, 3), (FamilyTag.QUAD_PT, 7, None)])
+    def test_mabuchi_integrates_its_two_moments(self, integrations, tag, n, p):
+        criteria.mabuchi(resolve_anticanonical(tag, n, p))
+        assert len(integrations) == 2
+
+    def test_mh_certificate_integrates_its_one_moment(self, integrations):
+        criteria.mh_certificate(9, 3)
+        assert len(integrations) == 1
+
+
+class TestCoupledProbesStayOutOfTheMemo:
+    def test_search_leaves_the_memo_empty(self, monkeypatch):
+        # every probe of a coupled search is a new divisor class, read once,
+        # and freed with its moments when the probe is done
+        probes = []
+        build = criteria.blpp_resolve
+
+        def recording(*args):
+            inst = build(*args)
+            probes.append(weakref.ref(inst))
+            return inst
+
+        monkeypatch.setattr(criteria, "blpp_resolve", recording)
         start, end = criteria.coupled_default_endpoints(5)
         criteria.coupled_search(5, start, end, 8)
         assert families._resolve.cache_info().currsize == 0
-        assert criteria.instance_moments.cache_info().currsize == 0
+        assert probes and all(ref() is None for ref in probes)
 
 
 class TestSegmentWeightsStayFactored:

@@ -205,6 +205,12 @@ def test_rational_round_trip():
     assert rational_to_str(3) == "3/1"
 
 
+def test_rational_to_str_has_no_digit_limit():
+    # 4400 digits, past the interpreter's int-to-str limit of 4300
+    assert rational_to_str(F(10 ** 4399 + 3, 7)) == "1" + "0" * 4398 + "3/7"
+    assert rational_to_str(F(-1, 10 ** 4399)) == "-1/1" + "0" * 4399
+
+
 def test_rational_rejects_decimals():
     with pytest.raises(InvalidParameterError):
         rational_from_str("0.5")
