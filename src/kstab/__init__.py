@@ -39,7 +39,6 @@ from .polytope import (
     HalfPlane,
     Polygon,
     Segment,
-    Triangle,
     polygon_from_halfplanes,
     triangulate,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Polygon",
     "Rational",
     "Segment",
-    "Triangle",
     "anticanonical_divisor",
     "barycenter",
     "binomial",

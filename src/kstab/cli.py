@@ -30,10 +30,9 @@ from typing import Sequence
 from . import criteria, verify
 from .errors import InvalidParameterError, KstabError, NoBracketError
 from .families import FamilyTag, instance_record, resolve
-from .poly import rational_from_str, rational_to_str
+from .poly import _excerpt, rational_from_str, rational_to_str
 
 SCHEMA_VERSION = 1
-JOBS_ENV_VAR = "KSTAB_JOBS"
 # The largest sweep admitted: rows × n (n = 2k + 1 for coupled), --bisections
 # of coupled and the length of a range may not exceed it.  A larger one
 # exits 1 before any row is built.
@@ -99,11 +98,11 @@ def _parse_range(text: str, field: str) -> tuple[int, ...]:
         else:
             lo = hi = int(s)
     except ValueError as exc:
-        raise SpecError(f"field {field}: cannot parse range {text!r}") from exc
+        raise SpecError(f"field {field}: cannot parse range {_excerpt(text)!r}") from exc
     if hi < lo:
-        raise SpecError(f"field {field}: empty range {text!r}")
+        raise SpecError(f"field {field}: empty range {_excerpt(text)!r}")
     if hi - lo >= MAX_WORK:  # refused before it is built
-        raise SpecError(f"field {field}: range {text!r} has more than {MAX_WORK} values")
+        raise SpecError(f"field {field}: range {_excerpt(text)!r} has more than {MAX_WORK} values")
     return tuple(range(lo, hi + 1))
 
 
@@ -124,8 +123,8 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--jobs", type=int, default=None,
-                       help=f"worker count (default: ${JOBS_ENV_VAR} or the available parallelism)")
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                       help="worker count (default: the available parallelism)")
 
     ke = sub.add_parser("ke", help="Kähler-Einstein / K-semistability classification")
     ke.add_argument("--family", required=True, choices=sorted(_FAMILIES))
@@ -222,26 +221,26 @@ def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
     if all(k < 2 for k in k_values):
         raise SpecError("field --k: must reach at least 2")
     if start or end:
-        _check_endpoints(k_values, start, end)
+        _check_endpoints(k_values, (("--start", ns.start, start), ("--end", ns.end, end)))
     return tuple(Task("coupled", FamilyTag.BLPP, None, None, k, ns.bisections, start, end)
                  for k in k_values)
 
 
-def _check_endpoints(k_values: Sequence[int], start: tuple | None, end: tuple | None) -> None:
-    """A given endpoint has three coefficients, and at every k >= 2 both
-    ends of the segment, given or built in, are ample pairs.  The ample
-    region is convex, so the search then never leaves it."""
-    given = (("--start", start), ("--end", end))
-    for field, divisor in given:
+def _check_endpoints(k_values: Sequence[int], given: Sequence[tuple]) -> None:
+    """A given endpoint (field, text, divisor) has three coefficients, and at
+    every k >= 2 both ends of the segment, given or built in, are ample
+    pairs.  The ample region is convex, so the search then never leaves it.
+    A refused endpoint is shown as typed, cut short when long."""
+    for field, _, divisor in given:
         if divisor is not None and len(divisor) != 3:
             raise SpecError(f"field {field}: blpp divisors take 3 coefficients, got {len(divisor)}")
     for k in k_values:
         if k < 2:
             continue  # the row reports its own invalid-parameter error
-        for (field, divisor), default in zip(given, criteria.coupled_default_endpoints(k)):
+        for (field, text, divisor), default in zip(given, criteria.coupled_default_endpoints(k)):
             if not criteria.coupled_pair_ample(k, divisor or default):
                 which = "" if divisor else "the built-in endpoint "
-                shown = ",".join(str(v) for v in divisor or default)
+                shown = _excerpt(text.strip()) if divisor else ",".join(map(str, default))
                 raise SpecError(f"field {field}: {which}{shown} is not an ample pair at k = {k}")
 
 
@@ -254,22 +253,6 @@ def _dump_member(ns: argparse.Namespace, tag: FamilyTag) -> tuple:
             raise SpecError("field --divisor: blqq exposes only the anticanonical divisor")
         divisor = _parse_divisor(ns.divisor, "--divisor")
     return tag, ns.n, ns.p, divisor
-
-
-def _jobs(flag: int | None) -> int:
-    jobs = flag
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise SpecError(f"field {JOBS_ENV_VAR}: {env!r} is not an integer") from exc
-        else:
-            jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise SpecError("field --jobs: must be at least 1")
-    return jobs
 
 
 def parse_spec(argv: Sequence[str]) -> RunSpec:
@@ -296,9 +279,11 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
         tasks = _coupled_tasks(ns)
     else:
         tasks = _member_tasks(ns, tag)
+    if ns.jobs < 1:
+        raise SpecError("field --jobs: must be at least 1")
     return RunSpec(command=ns.command, tasks=tasks, suite=getattr(ns, "suite", "all"),
                    max_n=getattr(ns, "max_n", 40), member=member, fmt=ns.format, out=ns.out,
-                   jobs=_jobs(ns.jobs))
+                   jobs=ns.jobs)
 
 
 # ---------------------------------------------------------------------------

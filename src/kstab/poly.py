@@ -41,14 +41,32 @@ def rational_from_str(text: str) -> Fraction:
     """
     s = text.strip()
     if "." in s or "e" in s.lower():
-        raise InvalidParameterError(f"rational {text!r} must be written as num/den, not a decimal")
+        raise InvalidParameterError(f"rational {_excerpt(text)!r} must be num/den, not a decimal")
     try:
         if "/" in s:
             num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return Fraction(_int(num), _int(den))
+        return Fraction(_int(s))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameterError(f"cannot parse rational {text!r}: {exc}") from exc
+        raise InvalidParameterError(f"cannot parse rational {_excerpt(text)!r}: "
+                                    "expected an integer or num/den with den != 0") from exc
+
+
+def _int(text: str) -> int:
+    """int(text) of any length: a signed digit run is read 600 at a time, as ``_digits`` writes it."""
+    s = text.strip()
+    digits = s[1:] if s[:1] in "+-" else s
+    if not digits.isdecimal():
+        return int(s)  # raises, or reads a form such as "1_000"
+    n = 0
+    for i in range(0, len(digits), 600):
+        n = n * 10 ** len(digits[i:i + 600]) + int(digits[i:i + 600])
+    return -n if s[0] == "-" else n
+
+
+def _excerpt(text: str) -> str:
+    """text, cut to its first 24 characters when it is longer than 48."""
+    return text if len(text) <= 48 else f"{text[:24]}... ({len(text)} characters)"
 
 
 def rational_to_str(value: RationalLike) -> str:

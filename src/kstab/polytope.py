@@ -14,7 +14,8 @@ of the feasible triples is taken in integers too, with the 3x3 determinant
 as the orientation test, and each of its edges takes the input plane that
 is tight at both ends as its halfplane; the result is strictly convex by
 construction and is not re-validated.  Only the hull vertices become
-Fractions.
+Fractions.  ``triangulate`` fans the hull into plain vertex triples, none
+of them degenerate because no three hull vertices are collinear.
 
 Degenerate inputs are rejected loudly: an empty, unbounded, or
 lower-dimensional intersection raises a dedicated error rather than
@@ -24,7 +25,6 @@ producing a zero-mass region, because every caller divides by the mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -40,10 +40,6 @@ from .poly import RationalLike, _as_fraction, _over_common_denominator
 Point = tuple[Fraction, Fraction]
 # A point (X/D, Y/D) in homogeneous integers, D > 0 and gcd(X, Y, D) = 1.
 Triple = tuple[int, int, int]
-
-
-def make_point(x: RationalLike, y: RationalLike) -> Point:
-    return (_as_fraction(x), _as_fraction(y))
 
 
 @dataclass(frozen=True)
@@ -103,31 +99,6 @@ def _cross(o: Point, p: Point, q: Point) -> Fraction:
     """
     (ox, oy, px, py, qx, qy), den = _over_common_denominator((*o, *p, *q))
     return Fraction((px - ox) * (qy - oy) - (py - oy) * (qx - ox), den * den)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """Nondegenerate triangle given by three rational vertices.
-
-    ``Triangle.of`` keeps the doubled signed area that its degeneracy check
-    computed, so integration does not compute it again.
-    """
-
-    vertices: tuple[Point, Point, Point]
-
-    @staticmethod
-    def of(p0: Sequence[RationalLike], p1: Sequence[RationalLike], p2: Sequence[RationalLike]) -> "Triangle":
-        v0, v1, v2 = (make_point(*p) for p in (p0, p1, p2))
-        doubled = _cross(v0, v1, v2)
-        if doubled == 0:
-            raise DegenerateRegionError(f"triangle {v0}, {v1}, {v2} is degenerate")
-        triangle = Triangle((v0, v1, v2))
-        triangle.__dict__["doubled_signed_area"] = doubled  # the cached_property's slot
-        return triangle
-
-    @cached_property
-    def doubled_signed_area(self) -> Fraction:
-        return _cross(*self.vertices)
 
 
 @dataclass(frozen=True)
@@ -251,7 +222,7 @@ def _classify_parallel_strip(rows: list[tuple[int, int, int]]) -> None:
     raise UnboundedRegionError("halfplane intersection contains a line")
 
 
-def triangulate(polygon: Polygon) -> tuple[Triangle, ...]:
+def triangulate(polygon: Polygon) -> tuple[tuple[Point, Point, Point], ...]:
     """Fan triangulation rooted at the lexicographically smallest vertex.
 
     The root is vertices[0] thanks to the canonical rotation, so the result
@@ -260,15 +231,11 @@ def triangulate(polygon: Polygon) -> tuple[Triangle, ...]:
     return fan_triangles(polygon, 0)
 
 
-def fan_triangles(polygon: Polygon, root_index: int) -> tuple[Triangle, ...]:
-    """Fan triangulation from an arbitrary vertex; used to check that
-    integrals do not depend on the triangulation."""
+def fan_triangles(polygon: Polygon, root_index: int) -> tuple[tuple[Point, Point, Point], ...]:
+    """Fan triangulation from an arbitrary vertex, as vertex triples; used to
+    check that integrals do not depend on the triangulation."""
     vs = polygon.vertices
     m = len(vs)
     root = vs[root_index % m]
-    out = []
-    for i in range(1, m - 1):
-        a = vs[(root_index + i) % m]
-        b = vs[(root_index + i + 1) % m]
-        out.append(Triangle.of(root, a, b))
-    return tuple(out)
+    return tuple((root, vs[(root_index + i) % m], vs[(root_index + i + 1) % m])
+                 for i in range(1, m - 1))

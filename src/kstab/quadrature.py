@@ -10,7 +10,8 @@ d-simplex with vertices v_0..v_d,
 
 where h_ij is the coefficient of s^i t^j in the product over the vertices
 of 1 / (1 - x_v s - y_v t).  Only the vertex coordinates enter: there is no
-change of variables.  Polygons are fan-triangulated.
+change of variables.  Polygons are fan-triangulated into vertex triples,
+and each triangle's doubled area is taken once, from its vertices.
 
 ``integrate_factored`` takes a weight kept as c * prod l_j^m_j and is the one
 place that tells a segment from a polygon.  Over a segment [lo, hi] it applies
@@ -35,7 +36,7 @@ from typing import Sequence
 
 from .errors import ContractError, ZeroMassError
 from .poly import FactoredWeight, Poly1, Poly2, _over_common_denominator
-from .polytope import Point, Polygon, Segment, Triangle, triangulate
+from .polytope import Point, Polygon, Segment, _cross, triangulate
 
 
 def _integrate_simplex(
@@ -108,12 +109,12 @@ def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fra
     return weight.prefactor * (hi - lo) * Fraction(total, factorial(top + 1) * den)
 
 
-def integrate_poly2_triangle(f: Poly2, triangle: Triangle) -> Fraction:
-    """Integral of f over a triangle: the vertex formula with d = 2."""
-    scale = abs(triangle.doubled_signed_area)
+def integrate_poly2_triangle(f: Poly2, triangle: tuple[Point, Point, Point]) -> Fraction:
+    """Integral of f over the triangle (p, q, r): the vertex formula with d = 2."""
+    scale = abs(_cross(*triangle))
     if scale == 0:
         raise ContractError("degenerate triangle reached integration")
-    return _integrate_simplex(f.terms, triangle.vertices, scale)
+    return _integrate_simplex(f.terms, triangle, scale)
 
 
 def integrate_poly2_polygon(f: Poly2, polygon: Polygon) -> Fraction:

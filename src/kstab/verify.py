@@ -298,8 +298,6 @@ def _random_chord(rng: random.Random, polygon: Polygon) -> HalfPlane:
     m = len(polygon.vertices)
     i = rng.randrange(m)
     j = (i + rng.randrange(1, m)) % m
-    if i == j:
-        j = (i + 1) % m
 
     def edge_point(idx: int) -> tuple[Fraction, Fraction]:
         v, w = polygon.vertices[idx], polygon.vertices[(idx + 1) % m]

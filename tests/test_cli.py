@@ -18,6 +18,7 @@ from kstab import cli, criteria, families, verify
 from kstab.cli import main, parse_spec, render_to_string
 from kstab.errors import KstabError
 from kstab.families import FamilyTag, instance_record, resolve_anticanonical
+from kstab.poly import rational_from_str
 
 SRC_DIR = Path(cli.__file__).resolve().parent
 
@@ -208,6 +209,19 @@ class TestExitCodes:
     def test_largest_documented_invocations_are_admitted(self, args):
         parse_spec(args)
 
+    @pytest.mark.parametrize("args, message", [
+        (["dump-instance", "--family", "quade", "--n", "9", "--divisor", "9" * 4999 + "x"],
+         "field --divisor: cannot parse rational '999999999999999999999999... (5000 characters)'"),
+        (["coupled", "--k", "3", "--end", "1" + "0" * 4995 + ",1,1"],
+         "field --end: 100000000000000000000000... (5000 characters) is not an ample pair"),
+        (["ke", "--family", "quade", "--n", "9" * 5000],
+         "field --n: cannot parse range '999999999999999999999999... (5000 characters)'"),
+    ])
+    def test_long_value_gets_a_short_message(self, capsys, args, message):
+        assert main(args + ["--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err) < 200
+
     def test_missing_argument_is_one(self, capsys):
         assert main(["ke", "--family", "blpp"]) == 1
 
@@ -279,8 +293,6 @@ class TestExitCodes:
 
 class TestCoupledCommand:
     def test_certificate_row(self):
-        from kstab.poly import rational_from_str
-
         payload = run_json(["coupled", "--k", "4", "--bisections", "12", "--jobs", "1"])
         row = payload["rows"][0]
         assert row["verdict"] == "certificate"
@@ -333,6 +345,21 @@ class TestOtherCommands:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_dump_instance_reads_back_any_rational(self, capsys):
+        # 4401-digit denominators, past the interpreter's int-to-str limit of 4300
+        texts = ("1" + "0" * 4400, "1" + "0" * 4399 + "1")
+        args = ["dump-instance", "--family", "quade", "--n", "9",
+                "--divisor", ",".join(f"1/{t}" for t in texts)]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert captured.err == ""
+        assert [rational_from_str(v) for v in record["divisor"]] == [
+            F(1, 10 ** 4400), F(1, 10 ** 4400 + 1)]
+        expected = families.quad_resolve(
+            FamilyTag.QUAD_E, 9, (F(1, 10 ** 4400), F(1, 10 ** 4400 + 1))).domain.vertices
+        assert [tuple(map(rational_from_str, v)) for v in record["domain"]["vertices"]] == list(expected)
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"
         code = main(["ke", "--family", "blpp", "--n", "4", "--p", "2",
@@ -342,15 +369,22 @@ class TestOtherCommands:
 
 
 class TestSpecParsing:
-    def test_jobs_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "3")
-        spec = parse_spec(["ke", "--family", "blpp", "--n", "4", "--p", "2"])
-        assert spec.jobs == 3
+    def test_jobs_environment_is_ignored(self, monkeypatch):
+        # --jobs is the one way to size the pool; without it, the available parallelism
+        monkeypatch.setenv("KSTAB_JOBS", "3")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+        args = ["ke", "--family", "blpp", "--n", "4", "--p", "2"]
+        assert parse_spec(args).jobs == 5
+        assert parse_spec(args + ["--jobs", "1"]).jobs == 1
 
-    def test_jobs_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "3")
-        spec = parse_spec(["ke", "--family", "blpp", "--n", "4", "--p", "2", "--jobs", "1"])
-        assert spec.jobs == 1
+    def test_readme_examples_parse(self):
+        # every line of the README's command-line block is a valid invocation
+        readme = (SRC_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = [line.split() for line in block.splitlines() if line.strip()]
+        assert len(lines) == 7 and all(line[0] == "kstab" for line in lines)
+        for line in lines:
+            parse_spec(line[1:])
 
     def test_p_rejected_for_quad_families(self):
         with pytest.raises(cli.SpecError):
@@ -443,7 +477,6 @@ class TestTasks:
 
     def test_verify_starts_no_pool(self, monkeypatch, capsys):
         sizes, _ = self._record_pools(monkeypatch)
-        monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert main(["verify", "--suite", "properties", "--max-n", "7"]) == 0
         assert "byte-identical json/csv" in capsys.readouterr().out

@@ -211,6 +211,22 @@ def test_rational_to_str_has_no_digit_limit():
     assert rational_to_str(F(-1, 10 ** 4399)) == "-1/1" + "0" * 4399
 
 
+def test_rational_round_trip_has_no_digit_limit():
+    # 4400-digit numerator and denominator, read back 600 digits at a time
+    for x in (F(10 ** 4399 + 3, 10 ** 4399 + 7), F(-(10 ** 4399) - 1, 7 * 10 ** 4399 + 3)):
+        assert rational_from_str(rational_to_str(x)) == x
+    assert rational_from_str(" +" + "1" * 1201 + " ") == int("1" * 1201)
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 4999 + "x", "--" + "1" * 4998, "1" * 2500 + " " + "1" * 2499, "1" * 4998 + "/0",
+], ids=["trailing letter", "two signs", "inner space", "zero denominator"])
+def test_malformed_long_rational_gets_a_short_message(text):
+    with pytest.raises(InvalidParameterError) as info:
+        rational_from_str(text)
+    assert len(str(info.value)) < 200 and "(5000 characters)" in str(info.value)
+
+
 def test_rational_rejects_decimals():
     with pytest.raises(InvalidParameterError):
         rational_from_str("0.5")

@@ -16,7 +16,6 @@ from kstab.families import FamilyTag, resolve_anticanonical
 from kstab.polytope import (
     HalfPlane,
     Segment,
-    Triangle,
     _cross,
     fan_triangles,
     polygon_from_halfplanes,
@@ -33,7 +32,7 @@ UNIT_SQUARE = _planes((-1, 0, 0), (1, 0, 1), (0, -1, 0), (0, 1, 1))
 
 
 def _doubled_area(triangles):
-    return sum(abs(t.doubled_signed_area) for t in triangles)
+    return sum(abs(_cross(*t)) for t in triangles)
 
 
 class TestSegment:
@@ -116,13 +115,13 @@ class TestTriangulate:
     def test_unit_square(self):
         tris = triangulate(polygon_from_halfplanes(UNIT_SQUARE))
         assert len(tris) == 2
-        assert all(abs(t.doubled_signed_area) == 1 for t in tris)
+        assert all(abs(_cross(*t)) == 1 for t in tris)
 
     def test_triangle_is_itself(self):
         tri = polygon_from_halfplanes(_planes((-1, 0, 0), (0, -1, 0), (1, 1, 2)))
         tris = triangulate(tri)
         assert len(tris) == 1
-        assert set(tris[0].vertices) == set(tri.vertices)
+        assert set(tris[0]) == set(tri.vertices)
 
     def test_hexagon_area_additivity(self):
         # vertices (2, 0), (4, 1), (4, 3), (2, 4), (0, 3), (0, 1); area 12
@@ -138,7 +137,7 @@ class TestTriangulate:
         p = polygon_from_halfplanes(_planes((1, 0, 1), (1, 1, 2), (1, -1, 2), (-1, 0, 0)))
         root = min(p.vertices)
         assert root == (0, -2)
-        assert all(t.vertices[0] == root for t in triangulate(p))
+        assert all(t[0] == root for t in triangulate(p))
 
     def test_fan_from_any_root_tiles(self):
         # vertices (0, -1), (3, -1), (4, 0), (3, 1), (0, 1); area 7
@@ -150,8 +149,8 @@ class TestTriangulate:
         import random
 
         def in_closed_triangle(tri, pt):
-            a, b, c = tri.vertices
-            orient = tri.doubled_signed_area
+            a, b, c = tri
+            orient = _cross(*tri)
             for u, v in ((a, b), (b, c), (c, a)):
                 cross = (v[0] - u[0]) * (pt[1] - u[1]) - (v[1] - u[1]) * (pt[0] - u[0])
                 if cross * orient < 0:
@@ -172,8 +171,8 @@ class TestTriangulate:
             )
             hits = sum(1 for t in tris if in_closed_triangle(t, pt))
             on_chord = any(
-                (t.vertices[1][0] - t.vertices[0][0]) * (pt[1] - t.vertices[0][1])
-                == (t.vertices[1][1] - t.vertices[0][1]) * (pt[0] - t.vertices[0][0])
+                (t[1][0] - t[0][0]) * (pt[1] - t[0][1])
+                == (t[1][1] - t[0][1]) * (pt[0] - t[0][0])
                 for t in tris
             )
             if on_chord:
@@ -216,10 +215,6 @@ class TestConstruction:
         b = polygon_from_halfplanes(_planes((0, 3, 3), (2, 0, 2), (0, -1, 0), (-5, 0, 0)))
         assert a == b
         assert a.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
-
-    def test_degenerate_triangle_rejected(self):
-        with pytest.raises(DegenerateRegionError):
-            Triangle.of((0, 0), (1, 1), (2, 2))
 
     def test_halfplane_zero_normal_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab import polytope
+from kstab import quadrature
 from kstab.errors import ContractError, ZeroMassError
 from kstab.families import FamilyTag, resolve_anticanonical
 from kstab.poly import AffineForm, FactoredWeight, Poly1, Poly2
-from kstab.polytope import HalfPlane, Polygon, Segment, Triangle, polygon_from_halfplanes
+from kstab.polytope import HalfPlane, Polygon, Segment, polygon_from_halfplanes
 from kstab.quadrature import (
     barycenter,
     integrate_factored,
@@ -229,23 +229,23 @@ class TestSimplexTermSum:
         f = Poly2.from_terms(terms)
         expected = sum((c * abs(r * s) * r**i * s**j * integrate_monomial_simplex(i, j)
                         for i, j, c in f.terms), F(0))
-        assert integrate_poly2_triangle(f, Triangle.of((0, 0), (r, 0), (0, s))) == expected
+        assert integrate_poly2_triangle(f, ((0, 0), (r, 0), (0, s))) == expected
 
     def test_mixed_denominators_by_hand(self):
         # 1/2 + x/3 - (5/7) x y^2 over the standard simplex:
         # 1/2 * 1/2 + 1/3 * 1/6 - 5/7 * 2/120 = 1/4 + 1/18 - 1/84
         f = Poly2.from_terms([(0, 0, F(1, 2)), (1, 0, F(1, 3)), (1, 2, F(-5, 7))])
-        tri = Triangle.of((0, 0), (1, 0), (0, 1))
+        tri = ((0, 0), (1, 0), (0, 1))
         assert integrate_poly2_triangle(f, tri) == F(1, 4) + F(1, 18) - F(1, 84)
 
     def test_zero_polynomial_integrates_to_zero(self):
-        tri = Triangle.of((0, 0), (F(1, 3), 0), (0, F(2, 5)))
+        tri = ((0, 0), (F(1, 3), 0), (0, F(2, 5)))
         assert integrate_poly2_triangle(Poly2.from_terms([]), tri) == 0
 
     def test_degenerate_triangle_is_a_contract_breach(self):
-        # Triangle.of refuses this; a triangle built around it must not
-        # reach the integrator, whatever the polynomial
-        flat = Triangle(((F(0), F(0)), (F(1), F(1)), (F(2), F(2))))
+        # no polygon fans into a flat triangle, and one passed by hand must
+        # not be integrated, whatever the polynomial
+        flat = ((0, 0), (1, 1), (2, 2))
         for f in (Poly2.from_terms([]), Poly2.monomial(1, 2)):
             with pytest.raises(ContractError):
                 integrate_poly2_triangle(f, flat)
@@ -253,16 +253,16 @@ class TestSimplexTermSum:
 
 class TestTriangleIntegration:
     def test_area_of_scaled_simplex(self):
-        tri = Triangle.of((0, 0), (2, 0), (0, 2))
+        tri = ((0, 0), (2, 0), (0, 2))
         assert integrate_poly2_triangle(Poly2.constant(1), tri) == 2
 
     def test_first_moment_unit_simplex(self):
-        tri = Triangle.of((0, 0), (1, 0), (0, 1))
+        tri = ((0, 0), (1, 0), (0, 1))
         assert integrate_poly2_triangle(Poly2.variable(0), tri) == F(1, 6)
 
     def test_iterated_oracle_monomial(self):
         # integral over {0<=y<=x<=1} of x^2 y^3 = 1/28 by iterated antiderivatives
-        tri = Triangle.of((0, 0), (1, 0), (1, 1))
+        tri = ((0, 0), (1, 0), (1, 1))
         f = Poly2.monomial(2, 3)
         assert integrate_poly2_triangle(f, tri) == F(1, 28)
 
@@ -276,12 +276,12 @@ class TestTriangleIntegration:
             + [(7, 2, F(-5, 2)), (0, 0, 1)]
         )
         cases = [
-            (Triangle.of((F(1, 2), -1), (3, F(1, 3)), (1, 2)),
+            (((F(1, 2), -1), (3, F(1, 3)), (1, 2)),
              Poly2.from_terms([(2, 1, F(3, 4)), (0, 3, -2), (1, 0, 5)])),
-            (Triangle.of((F(1, 3), F(-2, 7)), (F(9, 10), F(1, 3)), (F(-3, 7), F(7, 10))), high),
+            (((F(1, 3), F(-2, 7)), (F(9, 10), F(1, 3)), (F(-3, 7), F(7, 10))), high),
         ]
         for tri, f in cases:
-            (x0, y0), (x1, y1), (x2, y2) = tri.vertices
+            (x0, y0), (x1, y1), (x2, y2) = tri
             composed = f.compose_affine((x0, x1 - x0, x2 - x0), (y0, y1 - y0, y2 - y0))
             jac = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
             by_compose = jac * sum(
@@ -291,8 +291,8 @@ class TestTriangleIntegration:
 
     def test_orientation_irrelevant(self):
         f = Poly2.from_terms([(1, 1, 1), (0, 0, F(1, 3))])
-        a = Triangle.of((0, 0), (2, 1), (1, 3))
-        b = Triangle.of((0, 0), (1, 3), (2, 1))
+        a = ((0, 0), (2, 1), (1, 3))
+        b = ((0, 0), (1, 3), (2, 1))
         assert integrate_poly2_triangle(f, a) == integrate_poly2_triangle(f, b)
 
 
@@ -391,17 +391,17 @@ class TestPolygonIntegration:
             assert integrate_poly2_polygon(f, domain) == iterated_polygon_integral(f, domain)
 
     def test_one_area_per_triangle(self, monkeypatch):
-        # the triangulation computes each triangle's doubled area once, and
-        # integration reuses it rather than computing it again
+        # integration computes each fan triangle's doubled area once, and
+        # the triangulation computes none
         domain = resolve_anticanonical(FamilyTag.QUAD_PM, 7).domain
         calls = []
-        cross = polytope._cross
+        cross = quadrature._cross
 
         def counting(*points):
             calls.append(points)
             return cross(*points)
 
-        monkeypatch.setattr(polytope, "_cross", counting)
+        monkeypatch.setattr(quadrature, "_cross", counting)
         f = Poly2.from_terms([(2, 1, 1), (0, 0, F(1, 3))])
         assert integrate_poly2_polygon(f, domain) == iterated_polygon_integral(f, domain)
         assert len(calls) == len(domain.vertices) - 2 == 3
