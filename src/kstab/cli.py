@@ -106,10 +106,19 @@ def _parse_range(text: str, field: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _parse_int(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise SpecError(f"field {field}: cannot parse integer {_excerpt(text)!r}") from exc
+
+
 def _parse_divisor(text: str, field: str) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = text.split(",")
+    if not any(p.strip() for p in parts):
         raise SpecError(f"field {field}: no coefficients given")
+    if not all(p.strip() for p in parts):
+        raise SpecError(f"field {field}: empty coefficient in {_excerpt(text)!r}")
     try:
         return tuple(rational_from_str(p) for p in parts)
     except InvalidParameterError as exc:
@@ -123,7 +132,7 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--jobs", default=os.cpu_count() or 1,
                        help="worker count (default: the available parallelism)")
 
     ke = sub.add_parser("ke", help="Kähler-Einstein / K-semistability classification")
@@ -140,7 +149,7 @@ def _build_parser() -> _Parser:
 
     coup = sub.add_parser("coupled", help="coupled Kähler-Einstein residual bracketing")
     coup.add_argument("--k", required=True)
-    coup.add_argument("--bisections", type=int, default=40)
+    coup.add_argument("--bisections", default=40)
     coup.add_argument("--start", default=None, help="segment start divisor (default: built-in)")
     coup.add_argument("--end", default=None, help="segment end divisor (default: built-in)")
     add_common(coup)
@@ -153,13 +162,13 @@ def _build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run the theorem-verification suites")
     ver.add_argument("--suite", default="all", choices=("all",) + verify.SUITES)
-    ver.add_argument("--max-n", type=int, default=40, dest="max_n")
+    ver.add_argument("--max-n", default=40, dest="max_n")
     add_common(ver)
 
     dump = sub.add_parser("dump-instance", help="emit the structured record of one instance")
     dump.add_argument("--family", required=True, choices=sorted(_FAMILIES))
-    dump.add_argument("--n", required=True, type=int)
-    dump.add_argument("--p", default=None, type=int)
+    dump.add_argument("--n", required=True)
+    dump.add_argument("--p", default=None)
     dump.add_argument("--divisor", default=None,
                       help="comma-separated rational coefficients (default: anticanonical)")
     add_common(dump)
@@ -263,6 +272,10 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
     when too many, before any is built.
     """
     ns = _build_parser().parse_args(_attach_values(argv))
+    # integer flags are read here, not by argparse, which would echo a refused value whole
+    for name in ("jobs", "max_n", "bisections") + (("n", "p") if ns.command == "dump-instance" else ()):
+        if getattr(ns, name, None) is not None:
+            setattr(ns, name, _parse_int(getattr(ns, name), "--" + name.replace("_", "-")))
     tag = _FAMILIES.get(getattr(ns, "family", ""))
     if getattr(ns, "p", None) is not None and not tag.takes_p:
         raise SpecError(f"field --p: family {tag.cli_name} takes no p")

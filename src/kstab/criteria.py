@@ -27,7 +27,6 @@ from .families import (
     Divisor,
     FamilyInstance,
     FamilyTag,
-    _offsets,
     anticanonical_divisor,
     blpp_ample,
     blpp_resolve,
@@ -207,7 +206,7 @@ def mabuchi(inst: FamilyInstance) -> MabuchiVerdict:
             f"{inst.tag.cli_name}{inst.dims}: the Mabuchi test needs exactly one center axis"
         )
     (axis,) = center
-    ((u, _),) = _offsets(inst.target)[1 + axis]
+    u = AffineForm.of(0, *(int(i == axis) for i in range(len(inst.target))))
     first, second = inst.integrals([((u, 1),), ((u, 2),)])
     detail = (("first_moment", first), ("second_moment", second))
     outside = MabuchiStatus.INCONCLUSIVE if inst.strict_axes else MabuchiStatus.EXISTS
@@ -248,9 +247,7 @@ def mh_certificate(n: int, p: int) -> MHCertificate:
     w(-u) makes u * w(-u) * w(u) odd, so the twisted moment vanishes
     identically and the logarithm of w(-u) is smooth and concave (a sum of
     logarithms of positive affine forms).  w(-u) is read off the instance
-    weight: each factor a + b*t becomes (a + b*target) - b*u.  The moment is
-    integrated in t: each factor of w(-u) moves to t by shifting its
-    constant by slope * target.
+    weight: each factor a + b*t becomes (a + b*target) - b*u.
     """
     inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
     (target,) = inst.target
@@ -259,10 +256,7 @@ def mh_certificate(n: int, p: int) -> MHCertificate:
     minima = reflected.factor_minima([(t - target,) for (t,) in inst.domain.vertices])
     if any(m <= 0 for m in minima):
         raise ContractError(f"multiplier factor not positive on [-1, 1] for n={n}, p={p}")
-    _, u = _offsets(inst.target)
-    shifted = tuple((AffineForm.of(form.constant - slope * target, slope), mult)
-                    for form, mult in reflected.factors for slope in form.linear)
-    (moment,) = inst.integrals([u + shifted])
+    (moment,) = inst.integrals([((AffineForm.of(0, 1), 1),) + reflected.factors])
     if moment != 0:
         raise ContractError(f"multiplier moment must vanish, got {moment} for n={n}, p={p}")
     return MHCertificate(reflected, moment, minima)

@@ -11,7 +11,8 @@ stability criteria consume: a rational moment domain, a factored
 integration weight, a target vector, the strict axes and an ampleness
 verdict.  The target is not stated anywhere: it is 2*rho = sum_j m_j
 grad l_j over the weight factors l_j^m_j, halved on blpp's undoubled t
-axis.  Each instance owns its ``integrals`` and its ``moments``, integrated
+axis.  Each instance owns its ``integrals``, which take their extra factors
+in u = x - target and alone move them to x, and its ``moments``, integrated
 on first read; ``resolve``'s memo by value is the package's only memo.
 
 Families and their divisor coordinates:
@@ -59,7 +60,7 @@ Divisor = tuple[Fraction, ...]
 Facet = tuple[tuple[int, ...], RationalLike]
 # A weight factor (constant + <slopes, x>) ** power, as ((constant, *slopes), power).
 Factor = tuple[tuple[RationalLike, ...], int]
-# Extra affine factors of one weighted integral, as (form, multiplicity) pairs.
+# Extra affine factors of one weighted integral, in u = x - target, as (form, multiplicity) pairs.
 Factors = tuple[tuple[AffineForm, int], ...]
 
 
@@ -148,13 +149,6 @@ FAMILY_DATA = {
 }
 
 
-def _offsets(origin: Sequence[Fraction]) -> list[Factors]:
-    """No factor, then the factor x_a - origin[a] for each axis a, in len(origin) variables."""
-    dim = len(origin)
-    axes = [[int(i == a) for i in range(dim)] for a in range(dim)]
-    return [()] + [((AffineForm.of(-o, *unit), 1),) for o, unit in zip(origin, axes)]
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     """A family member resolved to criterion inputs; it owns its weight integrals."""
@@ -169,15 +163,21 @@ class FamilyInstance:
     ample: bool
 
     def integrals(self, extras: Sequence[Factors]) -> list[Fraction]:
-        """Integrals of the weight times each tuple of ``extras``, never multiplied out."""
+        """Integrals of the weight times each tuple of ``extras``, never multiplied out.
+        The extras are stated in u = x - target; here, and nowhere else, each
+        moves to x, its constant losing <slopes, target>."""
         w = self.weight
+        in_x = [tuple((AffineForm(u.constant - sum(s * t for s, t in zip(u.linear, self.target)), u.linear),
+                       mult) for u, mult in extra) for extra in extras]
         return [integrate_factored(FactoredWeight(w.prefactor, w.factors + extra, w.nvars), self.domain)
-                for extra in extras]
+                for extra in in_x]
 
     @cached_property
     def moments(self) -> tuple[Fraction, tuple[Fraction, ...]]:
         """Weight mass and barycenter (a 1- or 2-vector); requires nonzero mass."""
-        mass, *firsts = self.integrals(_offsets((Fraction(0),) * len(self.target)))
+        dim = len(self.target)
+        x = [AffineForm.of(t, *(int(i == a) for i in range(dim))) for a, t in enumerate(self.target)]
+        mass, *firsts = self.integrals([()] + [((x_a, 1),) for x_a in x])
         if mass == 0:
             raise ZeroMassError("weight has zero mass on the instance domain")
         return mass, tuple(f / mass for f in firsts)

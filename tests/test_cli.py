@@ -216,11 +216,32 @@ class TestExitCodes:
          "field --end: 100000000000000000000000... (5000 characters) is not an ample pair"),
         (["ke", "--family", "quade", "--n", "9" * 5000],
          "field --n: cannot parse range '999999999999999999999999... (5000 characters)'"),
+        (["ke", "--family", "quade", "--n", "5", "--jobs", "9" * 4999 + "x"],
+         "field --jobs: cannot parse integer '999999999999999999999999... (5000 characters)'"),
+        (["verify", "--max-n", "9" * 4999 + "x"],
+         "field --max-n: cannot parse integer '999999999999999999999999... (5000 characters)'"),
+        (["coupled", "--k", "3", "--bisections", "9" * 4999 + "x"],
+         "field --bisections: cannot parse integer '999999999999999999999999... (5000 characters)'"),
+        (["dump-instance", "--family", "quade", "--n", "9" * 4999 + "x"],
+         "field --n: cannot parse integer '999999999999999999999999... (5000 characters)'"),
+        (["dump-instance", "--family", "blpp", "--n", "6", "--p", "9" * 4999 + "x"],
+         "field --p: cannot parse integer '999999999999999999999999... (5000 characters)'"),
     ])
     def test_long_value_gets_a_short_message(self, capsys, args, message):
-        assert main(args + ["--jobs", "1"]) == 1
+        # a trailing --jobs would override the value under test
+        assert main(args if "--jobs" in args else args + ["--jobs", "1"]) == 1
         err = capsys.readouterr().err
         assert message in err and len(err) < 200
+
+    @pytest.mark.parametrize("flag, args", [
+        ("--divisor", ["dump-instance", "--family", "quade", "--n", "7"]),
+        ("--end", ["coupled", "--k", "3"]),
+    ])
+    @pytest.mark.parametrize("value", ["5/2,,4", ",5/2,4", "5/2,4,", "5/2, ,4"])
+    def test_empty_coefficient_is_one(self, capsys, flag, args, value):
+        assert main(args + [flag, value, "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert f"field {flag}: empty coefficient in {value!r}" in captured.err and captured.out == ""
 
     def test_missing_argument_is_one(self, capsys):
         assert main(["ke", "--family", "blpp"]) == 1

@@ -16,7 +16,7 @@ from kstab.families import (
     resolve,
     resolve_anticanonical,
 )
-from kstab.poly import Poly1, Poly2
+from kstab.poly import AffineForm, Poly1, Poly2
 from kstab.polytope import Segment
 
 
@@ -246,6 +246,16 @@ class TestFamilyTable:
                          if all(form.evaluate(v) == 0 for v in edge)]
                 expected = walls[0] if walls else (2 if plane.a and plane.b else 1)
                 assert plane.slack(inst.target) == expected, (inst.tag, inst.dims, plane)
+
+    def test_integrals_take_their_extras_about_the_target(self):
+        # u_a = x_a - target_a, so its weighted integral is mass * xi[a]
+        for inst in _anticanonical_members(24):
+            mass, bary = inst.moments
+            dim = inst.tag.dimension
+            for a in range(dim):
+                u_a = AffineForm.of(0, *(int(i == a) for i in range(dim)))
+                xi_a = bary[a] - inst.target[a]
+                assert inst.integrals([((u_a, 1),)]) == [mass * xi_a], (inst.tag, inst.dims, a)
 
 
 class TestInstanceRecord:
