@@ -33,7 +33,7 @@ from .families import (
     check_params,
     resolve_anticanonical,
 )
-from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, binomial
+from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, _times, binomial
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +309,9 @@ def coupled_residual(k: int, divisor: Sequence[RationalLike]) -> Fraction:
     For the odd-dimensional family member (dims n = 2k+1, p = k), the sum
     of the two weight barycenters of a divisor and its complement must equal
     the target, 1/2 for every class, for a coupled pair to exist; this
-    returns the exact excess.
-    Each probe is a new divisor class, so neither member is kept in a memo.
+    returns the exact excess.  It is the direct reference for the residual
+    that ``coupled_search`` builds once along its segment.  Each call is a
+    new divisor class, so neither member is kept in a memo.
     """
     _check_coupled_k(k)
     n, p = 2 * k + 1, k
@@ -338,6 +339,31 @@ def coupled_negative_threshold(max_k: int = 40) -> int:
     raise ContractError(f"no negative residual endpoint found for k <= {max_k}")
 
 
+def _coupled_residual_along(k: int, start: Divisor, end: Divisor) -> tuple[list[int], list[int]]:
+    """Integer polynomials N and D in s, of one length, with N(s)/D(s) the
+    coupled residual at start + s (end - start), D(s) > 0, both ends ample."""
+    members = []
+    for a, b in ((start, end), (coupled_complement(k, start), coupled_complement(k, end))):
+        first = blpp_resolve(2 * k + 1, k, a)
+        (mass, mass_den), (moment, moment_den) = first.moments_along(blpp_resolve(2 * k + 1, k, b))
+        members.append(([c * mass_den for c in moment], [c * moment_den for c in mass]))
+        (target,) = first.target
+    (xa, ya), (xb, yb) = members
+    cross = [p + q for p, q in zip(_times(xa, yb), _times(xb, ya))]
+    masses = _times(ya, yb)
+    num = [target.denominator * c - target.numerator * m for c, m in zip(cross, masses + [0])]
+    return num, [target.denominator * m for m in masses + [0]]
+
+
+def _homogeneous(coeffs: Sequence[int], s: Fraction) -> int:
+    """q^deg P(a/q) for s = a/q and P of these coefficients, constant first."""
+    value, q_pow = 0, 1
+    for c in reversed(coeffs):
+        value = value * s.numerator + c * q_pow
+        q_pow *= s.denominator
+    return value
+
+
 _MID_OFFSETS = (Fraction(1, 2), Fraction(5, 8), Fraction(3, 8), Fraction(9, 16), Fraction(7, 16))
 
 
@@ -355,6 +381,10 @@ def coupled_search(
     still re-asserted at every evaluated point).  Bisection runs until the
     bracket width, in units of the segment parameter, is at most
     2^(-max_bisections).
+
+    The residual is built once, as N(s)/D(s) from the four members at the
+    two ends; a probe reads only the sign of N(s) D(s), in ints, and only
+    the three reported residuals are Fractions.
     """
     _check_coupled_k(k)
     if max_bisections < 0:
@@ -365,42 +395,42 @@ def coupled_search(
     def params_at(s: Fraction) -> Divisor:
         return tuple(a + s * (b - a) for a, b in zip(start_d, end_d))
 
-    def residual_at(s: Fraction) -> Fraction:
-        d = params_at(s)
-        if not coupled_pair_ample(k, d):
+    def check_ample(s: Fraction) -> None:
+        if not coupled_pair_ample(k, params_at(s)):
             raise ContractError(f"segment leaves the ample region at parameter {s}")
-        return coupled_residual(k, d)
 
     lo, hi = Fraction(0), Fraction(1)
-    r_lo, r_hi = residual_at(lo), residual_at(hi)
-    if r_lo == 0 or r_hi == 0 or (r_lo > 0) == (r_hi > 0):
-        raise NoBracketError(
-            f"endpoint residuals {r_lo} and {r_hi} do not have strictly opposite signs"
-        )
+    for s in (lo, hi):  # before any member is built: a class off the region may have no domain
+        check_ample(s)
+    num, den = _coupled_residual_along(k, start_d, end_d)
+
+    def residual_at(s: Fraction) -> tuple[int, int]:
+        check_ample(s)
+        return _homogeneous(num, s), _homogeneous(den, s)
+
+    def sign_at(s: Fraction) -> int:
+        return math.prod((v > 0) - (v < 0) for v in residual_at(s))
+
+    sign_lo, sign_hi = sign_at(lo), sign_at(hi)
+    if sign_lo * sign_hi >= 0:
+        raise NoBracketError(f"endpoint residuals {Fraction(*residual_at(lo))} and "
+                             f"{Fraction(*residual_at(hi))} do not have strictly opposite signs")
     tolerance = Fraction(1, 2 ** max_bisections)
     while hi - lo > tolerance:
-        r_mid = Fraction(0)
-        mid = lo
         for offset in _MID_OFFSETS:
             mid = lo + (hi - lo) * offset
-            r_mid = residual_at(mid)
-            if r_mid != 0:
+            sign_mid = sign_at(mid)
+            if sign_mid:
                 break
         else:
             raise ContractError("residual vanished at every probed split point")
-        if (r_mid > 0) == (r_lo > 0):
-            lo, r_lo = mid, r_mid
+        if sign_mid == sign_lo:
+            lo = mid
         else:
-            hi, r_hi = mid, r_mid
+            hi = mid
+    r_lo, r_hi = Fraction(*residual_at(lo)), Fraction(*residual_at(hi))
     if (r_lo > 0) == (r_hi > 0):
         raise ContractError("bisection lost the sign change")
     mid = (lo + hi) / 2
-    return CoupledCertificate(
-        params_lo=params_at(lo),
-        params_hi=params_at(hi),
-        residual_lo=r_lo,
-        residual_hi=r_hi,
-        midpoint=params_at(mid),
-        residual_at_midpoint=residual_at(mid),
-        width=hi - lo,
-    )
+    return CoupledCertificate(params_at(lo), params_at(hi), r_lo, r_hi,
+                              params_at(mid), Fraction(*residual_at(mid)), hi - lo)

@@ -13,7 +13,8 @@ verdict.  The target is not stated anywhere: it is 2*rho = sum_j m_j
 grad l_j over the weight factors l_j^m_j, halved on blpp's undoubled t
 axis.  Each instance owns its ``integrals``, which take their extra factors
 in u = x - target and alone move them to x, and its ``moments``, integrated
-on first read; ``resolve``'s memo by value is the package's only memo.
+on first read, or along a segment of classes as polynomials in its
+parameter; ``resolve``'s memo by value is the package's only memo.
 
 Families and their divisor coordinates:
 
@@ -53,7 +54,7 @@ from typing import Callable, Sequence, Union
 from .errors import InvalidParameterError, WeightPositivityError, ZeroMassError
 from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, rational_to_str
 from .polytope import HalfPlane, Polygon, Segment, polygon_from_halfplanes
-from .quadrature import integrate_factored
+from .quadrature import integrate_factored, integrate_factored_along
 
 Divisor = tuple[Fraction, ...]
 # A facet <normal, x> <= offset of a moment domain.
@@ -162,25 +163,39 @@ class FamilyInstance:
     strict_axes: tuple[int, ...]
     ample: bool
 
-    def integrals(self, extras: Sequence[Factors]) -> list[Fraction]:
-        """Integrals of the weight times each tuple of ``extras``, never multiplied out.
+    def _weights(self, extras: Sequence[Factors]) -> list[FactoredWeight]:
+        """The weight times each tuple of ``extras``, never multiplied out.
         The extras are stated in u = x - target; here, and nowhere else, each
         moves to x, its constant losing <slopes, target>."""
         w = self.weight
         in_x = [tuple((AffineForm(u.constant - sum(s * t for s, t in zip(u.linear, self.target)), u.linear),
                        mult) for u, mult in extra) for extra in extras]
-        return [integrate_factored(FactoredWeight(w.prefactor, w.factors + extra, w.nvars), self.domain)
-                for extra in in_x]
+        return [FactoredWeight(w.prefactor, w.factors + extra, w.nvars) for extra in in_x]
+
+    def integrals(self, extras: Sequence[Factors]) -> list[Fraction]:
+        """Integrals of the weight times each tuple of ``extras``, stated in u."""
+        return [integrate_factored(w, self.domain) for w in self._weights(extras)]
+
+    @property
+    def _moment_extras(self) -> list[Factors]:
+        """Nothing for the mass, then x_a = target_a + u_a for each first moment."""
+        return [()] + [((AffineForm.of(t, *(int(i == a) for i in range(len(self.target)))), 1),)
+                       for a, t in enumerate(self.target)]
 
     @cached_property
     def moments(self) -> tuple[Fraction, tuple[Fraction, ...]]:
         """Weight mass and barycenter (a 1- or 2-vector); requires nonzero mass."""
-        dim = len(self.target)
-        x = [AffineForm.of(t, *(int(i == a) for i in range(dim))) for a, t in enumerate(self.target)]
-        mass, *firsts = self.integrals([()] + [((x_a, 1),) for x_a in x])
+        mass, *firsts = self.integrals(self._moment_extras)
         if mass == 0:
             raise ZeroMassError("weight has zero mass on the instance domain")
         return mass, tuple(f / mass for f in firsts)
+
+    def moments_along(self, end: "FamilyInstance") -> list[tuple[list[int], int]]:
+        """Mass and first moments from this class (s = 0) to ``end`` (s = 1), as
+        ``integrate_factored_along`` gives them.  Exact while the active facets stay
+        the same, as on blpp's ample region: facet offsets and factor constants are affine."""
+        return [integrate_factored_along(w0, self.domain, w1, end.domain) for w0, w1
+                in zip(self._weights(self._moment_extras), end._weights(end._moment_extras))]
 
 
 def check_params(tag: FamilyTag, n: int, p: int | None = None) -> None:

@@ -110,6 +110,15 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     return [v.numerator * (den // q) for v, q in zip(values, dens)], den
 
 
+def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Convolution of two int sequences, as of polynomial coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ where b is the convolution over j of the sequences C(m_j, k) u_j^(m_j-k) v_j^k,
 k = 0..m_j.  Over a polygon the weight is expanded first; every
 two-dimensional family weight is a monomial, so that costs a few terms.
 
+``integrate_factored_along`` is the same formula over Z[s]: with the segment
+ends and factor constants affine in s, and fixed slopes, every u_j and v_j is
+affine in s.  The factor of highest multiplicity is contracted with the
+weights first, sum_K K! (M-K)! b_K = sum_i b'_i sum_l (i+l)! (M-i-l)! seq_l,
+in O(m^3) integer products, not the O(m^4) of the full convolution.
+
 Everything is a pure function of exact rationals; nothing here rounds.
 """
 
@@ -35,7 +41,7 @@ from math import comb, factorial, lcm
 from typing import Sequence
 
 from .errors import ContractError, ZeroMassError
-from .poly import FactoredWeight, Poly1, Poly2, _over_common_denominator
+from .poly import FactoredWeight, Poly1, Poly2, _over_common_denominator, _times
 from .polytope import Point, Polygon, Segment, _cross, triangulate
 
 
@@ -83,6 +89,11 @@ def integrate_poly1(f: Poly1, segment: Segment) -> Fraction:
     return _integrate_simplex(terms, ((lo, Fraction(0)), (hi, Fraction(0))), hi - lo)
 
 
+def _vertex_weights(top: int) -> list[int]:
+    """K! (top-K)! for K = 0..top, the weights of the factored vertex formula."""
+    return [factorial(k) * factorial(top - k) for k in range(top + 1)]
+
+
 def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fraction:
     """Integral of a factored weight over [lo, hi] from each factor's values
     at the two ends: the factored vertex formula with d = 1.
@@ -98,15 +109,49 @@ def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fra
         for _ in range(mult):
             u_pows.append(u_pows[-1] * du)
             v_pows.append(v_pows[-1] * dv)
-        seq = [comb(mult, k) * u_pows[mult - k] * v_pows[k] for k in range(mult + 1)]
-        conv = [0] * (len(b) + mult)
-        for i, bi in enumerate(b):
-            for k, sk in enumerate(seq):
-                conv[i + k] += bi * sk
-        b, den = conv, den * d**mult
+        b = _times(b, [comb(mult, k) * u_pows[mult - k] * v_pows[k] for k in range(mult + 1)])
+        den *= d**mult
     top = len(b) - 1
-    total = sum(factorial(k) * factorial(top - k) * bk for k, bk in enumerate(b))
+    total = sum(w * bk for w, bk in zip(_vertex_weights(top), b))
     return weight.prefactor * (hi - lo) * Fraction(total, factorial(top + 1) * den)
+
+
+def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
+                             end: FactoredWeight, end_segment: Segment) -> tuple[list[int], int]:
+    """Integral of a weight over a segment, both moving affinely in s from
+    (``start``, ``start_segment``) at s = 0 to (``end``, ``end_segment``) at
+    s = 1, which share the prefactor and every factor's slopes and
+    multiplicity: integer coefficients in s, constant first, and one denominator."""
+    if len({(w.prefactor, tuple((f.linear, m) for f, m in w.factors)) for w in (start, end)}) > 1:
+        raise ContractError("the two weights differ in a prefactor, a slope or a multiplicity")
+    seqs, den = [], 1
+    for (f, mult), (g, _) in zip(start.factors, end.factors):
+        u, v = f.evaluate((start_segment.lo,)), f.evaluate((start_segment.hi,))
+        (u0, u1, v0, v1), d = _over_common_denominator(
+            (u, g.evaluate((end_segment.lo,)) - u, v, g.evaluate((end_segment.hi,)) - v))
+        u_pows, v_pows = [[1]], [[1]]
+        for _ in range(mult):
+            u_pows.append(_times(u_pows[-1], (u0, u1)))
+            v_pows.append(_times(v_pows[-1], (v0, v1)))
+        seqs.append([[comb(mult, k) * c for c in _times(u_pows[mult - k], v_pows[k])]
+                     for k in range(mult + 1)])
+        den *= d**mult
+    seqs.sort(key=len)
+    last = seqs.pop() if seqs else [[1]]
+    b = [[1]]
+    for seq in seqs:  # b_K = sum over i of b_i seq_(K-i), in Z[s]
+        b = [[sum(col) for col in zip(*(_times(bi, seq[K - i]) for i, bi in enumerate(b)
+                                        if 0 <= K - i < len(seq)))] for K in range(len(b) + len(seq) - 1)]
+    top = len(b) + len(last) - 2
+    w = _vertex_weights(top)
+    contracted = ([sum(w[i + k] * sk[e] for k, sk in enumerate(last)) for e in range(len(last[0]))]
+                  for i in range(len(b)))
+    total = [sum(col) for col in zip(*map(_times, b, contracted))]
+    lengths = (start_segment.hi - start_segment.lo, end_segment.hi - end_segment.lo)
+    (l0, l1), dl = _over_common_denominator((lengths[0], lengths[1] - lengths[0]))
+    p = start.prefactor
+    return ([p.numerator * c for c in _times(total, (l0, l1))],
+            p.denominator * dl * factorial(top + 1) * den)
 
 
 def integrate_poly2_triangle(f: Poly2, triangle: tuple[Point, Point, Point]) -> Fraction:

@@ -327,6 +327,15 @@ class TestCoupledCommand:
                             "--start", start, "--end", start, "--jobs", "1"])
         assert payload["rows"][0]["verdict"] == "no-bracket"
 
+    def test_failing_rows_keep_their_messages(self, capsys):
+        # k = 2: the built-in end (0, 1/2, 0) is refused by the ampleness
+        # check at s = 1, before its one-point domain is ever built
+        assert main(["coupled", "--k", "2..3", "--format", "json", "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "kstab: blpp k=2: error:contract-breach: segment leaves the ample region at parameter 1\n"
+            "kstab: blpp k=3: no-bracket: endpoint residuals 690/28273 and 2946/823669"
+            " do not have strictly opposite signs\n")
+
 
 class TestOtherCommands:
     def test_mabuchi_quadpt_row(self):

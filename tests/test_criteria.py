@@ -371,8 +371,11 @@ class TestCoupledSearch:
     def test_ampleness_contract(self):
         start, _ = criteria.coupled_default_endpoints(6)
         outside = (F(20), F(1, 2), F(0))  # complement coefficient is negative
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^segment leaves the ample region at parameter 1$"):
             criteria.coupled_search(6, start, outside, max_bisections=8)
+        # both ends off the region: s = 0 is checked first
+        with pytest.raises(ContractError, match="^segment leaves the ample region at parameter 0$"):
+            criteria.coupled_search(6, outside, (F(0), F(1, 2), F(0)), max_bisections=8)
 
 
 @pytest.fixture
@@ -440,6 +443,33 @@ class TestCoupledProbesStayOutOfTheMemo:
         criteria.coupled_search(5, start, end, 8)
         assert families._resolve.cache_info().currsize == 0
         assert probes and all(ref() is None for ref in probes)
+
+
+class TestCoupledSearchCost:
+    """The residual along the segment is built once, from the moments of the
+    four members at its two ends; more bisections add only sign probes."""
+
+    def test_probes_integrate_nothing(self, integrations):
+        start, end = criteria.coupled_default_endpoints(9)
+        counts = []
+        for bisections in (8, 40):
+            integrations.clear()
+            criteria.coupled_search(9, start, end, bisections)
+            counts.append(len(integrations))
+        assert counts[0] == counts[1]
+
+    def test_four_moment_polynomials_per_search(self, monkeypatch):
+        calls = []
+        integrate = families.integrate_factored_along
+
+        def counting(*args):
+            calls.append(None)
+            return integrate(*args)
+
+        monkeypatch.setattr(families, "integrate_factored_along", counting)
+        start, end = criteria.coupled_default_endpoints(9)
+        criteria.coupled_search(9, start, end, 40)
+        assert len(calls) == 4
 
 
 class TestSegmentWeightsStayFactored:

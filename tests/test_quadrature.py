@@ -183,6 +183,55 @@ class TestIntegrateFactored:
             inst.weight.expand(), inst.domain)
 
 
+def _at(s, start, end):
+    return start + s * (end - start)
+
+
+@st.composite
+def _factored_along(draw):
+    """Two factored weights over segments with the same prefactor, slopes
+    and multiplicities, and a parameter s in [0, 1]."""
+    weight, segment = draw(_factored_on_segment())
+    lo = draw(_rationals)
+    moved = FactoredWeight.of(weight.prefactor, [(AffineForm.of(draw(_rationals), *form.linear), mult)
+                                                 for form, mult in weight.factors])
+    den = draw(st.integers(1, 2**40))
+    s = draw(st.one_of(st.sampled_from([F(0), F(1)]), st.integers(0, den).map(lambda a: F(a, den))))
+    return weight, segment, moved, Segment.of(lo, lo + draw(_rationals.map(abs))), s
+
+
+class TestIntegrateFactoredAlong:
+    """The Z[s] vertex formula against the scalar one at the interpolated weight and segment."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_factored_along())
+    def test_polynomial_equals_the_integral_at_every_parameter(self, case):
+        start, start_segment, end, end_segment, s = case
+        coeffs, den = quadrature.integrate_factored_along(start, start_segment, end, end_segment)
+        weight = FactoredWeight.of(start.prefactor, [
+            (AffineForm.of(_at(s, f.constant, g.constant), *f.linear), mult)
+            for (f, mult), (g, _) in zip(start.factors, end.factors)])
+        segment = Segment.of(_at(s, start_segment.lo, end_segment.lo),
+                             _at(s, start_segment.hi, end_segment.hi))
+        assert F(sum(c * s**i for i, c in enumerate(coeffs)), den) == integrate_factored(weight, segment)
+
+    def test_no_factors_is_the_moving_length(self):
+        weight = FactoredWeight.of(F(3, 2), [], nvars=1)
+        coeffs, den = quadrature.integrate_factored_along(weight, Segment.of(0, 1), weight, Segment.of(-1, 3))
+        assert (coeffs, den) == ([3, 9], 2)
+
+    @pytest.mark.parametrize("end", [
+        FactoredWeight.of(1, [(AffineForm.of(2, 1), 2), (AffineForm.of(1, 1), 1)]),
+        FactoredWeight.of(1, [(AffineForm.of(5, -1), 3), (AffineForm.of(1, 1), 1)]),
+        FactoredWeight.of(1, [(AffineForm.of(5, -1), 2)]),
+        FactoredWeight.of(2, [(AffineForm.of(5, -1), 2), (AffineForm.of(1, 1), 1)]),
+    ], ids=["slope", "multiplicity", "factor-count", "prefactor"])
+    def test_weights_that_do_not_move_affinely_are_refused(self, end):
+        start = FactoredWeight.of(1, [(AffineForm.of(2, -1), 2), (AffineForm.of(1, 1), 1)])
+        with pytest.raises(ContractError):
+            quadrature.integrate_factored_along(start, Segment.of(0, 1), end, Segment.of(0, 2))
+
+
 # ---------------------------------------------------------------------------
 # Simplex and triangle integration
 # ---------------------------------------------------------------------------
