@@ -21,11 +21,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from io import StringIO
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import criteria, verify
 from .errors import InvalidParameterError, KstabError, NoBracketError
@@ -52,8 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """One report row to compute, picklable for the worker pool: a member
     (n, p) of the family, or a coupled search at k (n and p are None)."""
 
@@ -74,8 +72,7 @@ class Task:
         return {"n": self.n} if self.p is None else {"n": self.n, "p": self.p}
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     """A validated invocation: the rows of a sweep, verify's suite and
     --max-n, or dump-instance's member (family, n, p, divisor)."""
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ContractError,
@@ -47,8 +46,7 @@ class KEStatus(enum.Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class KEVerdict:
+class KEVerdict(NamedTuple):
     """Verdict with its witness: the weight mass and barycenter of the
     domain, and the offset ``xi`` of the barycenter from the target."""
 
@@ -182,8 +180,7 @@ class MabuchiStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class MabuchiVerdict:
+class MabuchiVerdict(NamedTuple):
     status: MabuchiStatus
     ratio: Fraction | None
     detail: tuple[tuple[str, Fraction], ...]
@@ -224,8 +221,7 @@ def mabuchi(inst: FamilyInstance) -> MabuchiVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MHCertificate:
+class MHCertificate(NamedTuple):
     """Witness that a concave log-polynomial multiplier exists.
 
     ``weight_of_h`` is the reflected weight, in u = t - target, whose
@@ -267,8 +263,7 @@ def mh_certificate(n: int, p: int) -> MHCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoupledCertificate:
+class CoupledCertificate(NamedTuple):
     """Exact sign-change bracket for the coupled residual along a segment."""
 
     params_lo: Divisor

@@ -46,10 +46,9 @@ Constant prefactors of the weights are dropped for the same reason.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import InvalidParameterError, WeightPositivityError, ZeroMassError
 from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, rational_to_str
@@ -95,8 +94,7 @@ class FamilyTag(enum.Enum):
         return range(margin, n - margin + 1) if margin else (None,)
 
 
-@dataclass(frozen=True)
-class FamilyData:
+class FamilyData(NamedTuple):
     """Everything that describes one family.
 
     ``p_margin`` is 0 for a family without p; otherwise p runs over
@@ -150,18 +148,38 @@ FAMILY_DATA = {
 }
 
 
-@dataclass(frozen=True)
 class FamilyInstance:
-    """A family member resolved to criterion inputs; it owns its weight integrals."""
+    """A family member resolved to criterion inputs; it owns its weight integrals.
 
-    tag: FamilyTag
-    dims: tuple[int, ...]
-    divisor: Divisor
-    domain: Union[Segment, Polygon]
-    weight: FactoredWeight
-    target: tuple[Fraction, ...]
-    strict_axes: tuple[int, ...]
-    ample: bool
+    Immutable, and equal and hashed by its eight fields.  A plain class, not a
+    tuple: ``moments`` is cached in its ``__dict__``, and it can be weakly
+    referenced.
+    """
+
+    def __init__(self, tag: FamilyTag, dims: tuple[int, ...], divisor: Divisor,
+                 domain: Union[Segment, Polygon], weight: FactoredWeight,
+                 target: tuple[Fraction, ...], strict_axes: tuple[int, ...], ample: bool) -> None:
+        vars(self).update(tag=tag, dims=dims, divisor=divisor, domain=domain, weight=weight,
+                          target=target, strict_axes=strict_axes, ample=ample)
+
+    def _key(self) -> tuple:
+        """The eight fields; the cached moments take no part in equality."""
+        return (self.tag, self.dims, self.divisor, self.domain, self.weight, self.target,
+                self.strict_axes, self.ample)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"FamilyInstance{self._key()!r}"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"FamilyInstance is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def _weights(self, extras: Sequence[Factors]) -> list[FactoredWeight]:
         """The weight times each tuple of ``extras``, never multiplied out.

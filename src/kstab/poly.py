@@ -20,9 +20,8 @@ routine here, so nothing in this module may round or truncate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InvalidParameterError
 
@@ -124,8 +123,7 @@ def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly1:
+class Poly1(NamedTuple):
     """Dense univariate polynomial; ``coeffs[i]`` multiplies t^i."""
 
     coeffs: tuple[Fraction, ...]
@@ -240,8 +238,7 @@ def _normalize_terms(items: Iterable[tuple[int, int, Fraction]]) -> tuple[tuple[
     return tuple((i, j, acc[(i, j)]) for i, j in sorted(acc))
 
 
-@dataclass(frozen=True)
-class Poly2:
+class Poly2(NamedTuple):
     """Sparse bivariate polynomial; terms are sorted (deg_x, deg_y, coeff) triples."""
 
     terms: tuple[tuple[int, int, Fraction], ...]
@@ -399,8 +396,7 @@ def affine_power_table(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """Affine form c0 + c1*t (one variable) or c0 + c1*x + c2*y (two variables)."""
 
     constant: Fraction
@@ -434,8 +430,7 @@ class AffineForm:
         )
 
 
-@dataclass(frozen=True)
-class FactoredWeight:
+class FactoredWeight(NamedTuple):
     """prefactor * product of affine forms raised to nonnegative integer powers."""
 
     prefactor: Fraction

@@ -24,10 +24,9 @@ producing a zero-mass region, because every caller divides by the mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateRegionError,
@@ -42,8 +41,7 @@ Point = tuple[Fraction, Fraction]
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Closed rational interval [lo, hi] on a line."""
 
     lo: Fraction
@@ -65,8 +63,7 @@ class Segment:
         return self.lo <= _as_fraction(t) <= self.hi
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(NamedTuple):
     """Constraint a*x + b*y <= c with (a, b) != (0, 0).
 
     Stored in canonical integer form: a, b, c are coprime integers, so
@@ -101,8 +98,7 @@ def _cross(o: Point, p: Point, q: Point) -> Fraction:
     return Fraction((px - ox) * (qy - oy) - (py - oy) * (qx - ox), den * den)
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(NamedTuple):
     """Full-dimensional convex polygon.
 
     ``vertices`` is a strictly convex counterclockwise cycle starting at

@@ -35,10 +35,9 @@ Everything is a pure function of exact rationals; nothing here rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractError, ZeroMassError
 from .poly import FactoredWeight, Poly1, Poly2, _over_common_denominator, _times
@@ -177,8 +176,7 @@ def integrate_factored(weight: FactoredWeight, domain: Segment | Polygon) -> Fra
     return integrate_poly2_polygon(weight.expand(), domain)
 
 
-@dataclass(frozen=True)
-class Moments2:
+class Moments2(NamedTuple):
     """Mass and first moments of a weight over a polygon."""
 
     mass: Fraction

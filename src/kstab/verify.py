@@ -13,9 +13,8 @@ first three lines, or the number of cases when none is broken.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import criteria
 from .criteria import KEStatus, MabuchiStatus
@@ -38,8 +37,7 @@ _SUITE_CRITERIA = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: int
     name: str
     passed: bool

@@ -505,6 +505,14 @@ class TestTasks:
                              check=True, cwd=SRC_DIR.parent)
         assert out.stdout.strip() == "False"
 
+    def test_import_loads_no_dataclasses_machinery(self):
+        # every kstab process pays for its imports; dataclasses brings inspect, ast and dis
+        code = ("import sys; before = set(sys.modules); import kstab.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=SRC_DIR.parent)
+        assert out.stdout.strip() == "[]"
+
     def test_verify_starts_no_pool(self, monkeypatch, capsys):
         sizes, _ = self._record_pools(monkeypatch)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)

@@ -9,7 +9,6 @@ the same error class with the same message, and N(s)/D(s) must equal the
 direct residual at every ample parameter.
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -74,8 +73,8 @@ def _assert_same(k, start, end, bisections):
     want = _outcome(_reference_search, k, start, end, bisections)
     if isinstance(want, CoupledCertificate):
         assert isinstance(got, CoupledCertificate), got
-        for field in dataclasses.fields(CoupledCertificate):
-            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        for name in CoupledCertificate._fields:
+            assert getattr(got, name) == getattr(want, name), name
     else:
         assert got == want
 
