@@ -51,7 +51,6 @@ from .quadrature import (
     integrate_poly2_triangle,
     moments,
 )
-from .verify import CheckResult, verify_theorems
 
 __version__ = "0.1.0"
 
@@ -99,3 +98,12 @@ __all__ = [
     "triangulate",
     "verify_theorems",
 ]
+
+
+def __getattr__(name: str):
+    # verify's two exports load the suites on first use, not with the package
+    if name in ("CheckResult", "verify_theorems"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,10 +26,11 @@ from fractions import Fraction
 from io import StringIO
 from typing import NamedTuple, Sequence
 
-from . import criteria, verify
+from . import criteria
 from .errors import InvalidParameterError, KstabError, NoBracketError
 from .families import FamilyTag, instance_record, resolve
 from .poly import _excerpt, rational_from_str, rational_to_str
+from .suites import SUITE_CRITERIA
 
 SCHEMA_VERSION = 1
 # The largest sweep admitted: rows × n (n = 2k + 1 for coupled), --bisections
@@ -38,6 +39,11 @@ SCHEMA_VERSION = 1
 MAX_WORK = 50_000
 # The largest verify --max-n; the suite's cost grows about as n^3.
 MAX_VERIFY_N = 80
+# A sweep starts its pool only once its rows have run this long serially.  On
+# a 2-vCPU box the pool costs about 40 ms before its first row (importing
+# concurrent.futures.process, then starting the workers): about ten times
+# that keeps the start-up a small share of any sweep that pays for it.
+SERIAL_BUDGET_S = 0.5
 
 _FAMILIES = {tag.cli_name: tag for tag in FamilyTag}
 
@@ -122,6 +128,11 @@ def _parse_divisor(text: str, field: str) -> tuple[Fraction, ...]:
         raise SpecError(f"field {field}: {exc}") from exc
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kstab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -129,8 +140,9 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--jobs", default=os.cpu_count() or 1,
-                       help="worker count (default: the available parallelism)")
+        p.add_argument("--jobs", default=_available_cpus(),
+                       help="most workers a sweep may use once its rows have run "
+                            f"{SERIAL_BUDGET_S} s serially (default: the available parallelism)")
 
     ke = sub.add_parser("ke", help="Kähler-Einstein / K-semistability classification")
     ke.add_argument("--family", required=True, choices=sorted(_FAMILIES))
@@ -158,7 +170,7 @@ def _build_parser() -> _Parser:
     add_common(mh)
 
     ver = sub.add_parser("verify", help="run the theorem-verification suites")
-    ver.add_argument("--suite", default="all", choices=("all",) + verify.SUITES)
+    ver.add_argument("--suite", default="all", choices=tuple(SUITE_CRITERIA))
     ver.add_argument("--max-n", default=40, dest="max_n")
     add_common(ver)
 
@@ -359,22 +371,31 @@ def _coupled_result(task: Task) -> tuple[str, dict]:
 
 
 def _execute_tasks(tasks: Sequence[Task], jobs: int) -> list[dict]:
-    if jobs > 1 and len(tasks) > 1:
+    """Run the rows in order: serially, until they have taken SERIAL_BUDGET_S
+    and at least two are left, then the rest on a pool of at most ``jobs``."""
+    rows: list[dict] = []
+    started = time.perf_counter()
+    while len(rows) < len(tasks):
+        left = len(tasks) - len(rows)
+        if jobs < 2 or left < 2 or time.perf_counter() - started < SERIAL_BUDGET_S:
+            rows.append(_run_task(tasks[len(rows)]))
+            continue
         # imported here: the pool pulls in multiprocessing, logging and
         # socket, which a serial run would pay for at every start
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(jobs, len(tasks))
+        workers = min(jobs, left)
         # a few chunks per worker rather than one round trip per row; map
         # keeps the rows in task order
-        chunksize = max(1, len(tasks) // (4 * workers))
+        chunksize = max(1, left // (4 * workers))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_run_task, tasks, chunksize=chunksize))
+                rows.extend(pool.map(_run_task, tasks[len(rows):], chunksize=chunksize))
         except OSError as exc:
             print(f"kstab: worker pool unavailable ({type(exc).__name__}: {exc}); running serially",
                   file=sys.stderr)
-    return [_run_task(task) for task in tasks]
+            jobs = 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +470,7 @@ def _render_rows_markdown(command: str, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_verify(results: list[verify.CheckResult], fmt: str) -> str:
+def _render_verify(results: list, fmt: str) -> str:
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -478,6 +499,8 @@ def _render_verify(results: list[verify.CheckResult], fmt: str) -> str:
 def execute(spec: RunSpec) -> tuple[str, int]:
     """Run a spec and return (rendered report, exit code)."""
     if spec.command == "verify":
+        from . import verify  # only verify pays for importing the suites
+
         results = verify.verify_theorems(max_n=spec.max_n, suite=spec.suite)
         return _render_verify(results, spec.fmt), 0
     if spec.command == "dump-instance":

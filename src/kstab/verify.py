@@ -23,18 +23,7 @@ from .families import FamilyTag, resolve, resolve_anticanonical
 from .poly import Poly2, rational_to_str
 from .polytope import HalfPlane, Polygon, fan_triangles, polygon_from_halfplanes
 from .quadrature import integrate_poly2_polygon, integrate_poly2_triangle
-
-SUITES = ("closed-forms", "ke", "mabuchi", "coupled", "mh", "properties")
-
-_SUITE_CRITERIA = {
-    "closed-forms": (1,),
-    "ke": (2, 3),
-    "mabuchi": (4,),
-    "coupled": (5,),
-    "mh": (6,),
-    "properties": (7,),
-    "all": (1, 2, 3, 4, 5, 6, 7),
-}
+from .suites import SUITE_CRITERIA
 
 
 class CheckResult(NamedTuple):
@@ -376,7 +365,7 @@ def check_quadrature_properties(max_n: int) -> list[CheckResult]:
 
 
 def _cli_determinism_check() -> CheckResult:
-    from . import cli  # local import; cli depends on this module
+    from . import cli  # local import: only this check runs the command line
 
     def render(args):
         # Empty the memo, so each render resolves and integrates every row afresh.
@@ -405,13 +394,13 @@ def verify_theorems(max_n: int = 40, suite: str = "all") -> list[CheckResult]:
     """
     if max_n < 7:
         raise InvalidParameterError(f"max_n must be at least 7, got {max_n}")
-    if suite not in _SUITE_CRITERIA:
+    if suite not in SUITE_CRITERIA:
         raise InvalidParameterError(
-            f"unknown suite {suite!r}; choose from {sorted(_SUITE_CRITERIA)}"
+            f"unknown suite {suite!r}; choose from {sorted(SUITE_CRITERIA)}"
         )
     # Built per call, so a check rebound on the module (as a tracer does) is the one run.
     checks = (check_closed_forms, check_blpp_classification, check_quadric_blowups,
               check_quadpt_mabuchi, check_coupled, check_multiplier_certificates,
               check_quadrature_properties)
-    return [result for criterion in _SUITE_CRITERIA[suite]
+    return [result for criterion in SUITE_CRITERIA[suite]
             for result in checks[criterion - 1](max_n)]

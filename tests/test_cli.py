@@ -7,6 +7,7 @@ import json
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -402,10 +403,22 @@ class TestSpecParsing:
     def test_jobs_environment_is_ignored(self, monkeypatch):
         # --jobs is the one way to size the pool; without it, the available parallelism
         monkeypatch.setenv("KSTAB_JOBS", "3")
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 5)
         args = ["ke", "--family", "blpp", "--n", "4", "--p", "2"]
         assert parse_spec(args).jobs == 5
         assert parse_spec(args + ["--jobs", "1"]).jobs == 1
+
+    def test_jobs_default_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        # a process pinned to one CPU (taskset, a cpuset) gets one worker, not cpu_count
+        args = ["ke", "--family", "blpp", "--n", "4", "--p", "2"]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert parse_spec(args).jobs == 1
+        # without an affinity mask, the CPU count, or 1 when that is unknown
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert parse_spec(args).jobs == 8
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert parse_spec(args).jobs == 1
 
     def test_readme_examples_parse(self):
         # every line of the README's command-line block is a valid invocation
@@ -442,6 +455,7 @@ class TestTasks:
         ]
 
     def test_pool_failure_falls_back_visibly(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
         args = ["ke", "--family", "blpp", "--n", "4..6", "--p", "all", "--format", "json"]
         serial = render_to_string(args + ["--jobs", "1"])
         capsys.readouterr()
@@ -457,9 +471,9 @@ class TestTasks:
 
 
     @staticmethod
-    def _record_pools(monkeypatch) -> tuple[list, list]:
-        """Fake pools record their size and the chunk size of each map."""
-        sizes, chunks = [], []
+    def _record_pools(monkeypatch) -> tuple[list, list, list]:
+        """Fake pools record their size, and the chunk size and row count of each map."""
+        sizes, chunks, mapped = [], [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -474,13 +488,45 @@ class TestTasks:
             def map(self, fn, items, chunksize=1):
                 assert isinstance(chunksize, int) and chunksize >= 1
                 chunks.append(chunksize)
+                mapped.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes, chunks
+        return sizes, chunks, mapped
+
+    @staticmethod
+    def _fake_clock(monkeypatch, row_s: float) -> None:
+        """cli reads a clock on which each row takes ``row_s`` seconds."""
+        now = [0.0]
+        run_task = cli._run_task
+
+        def timed_row(task):
+            now[0] += row_s
+            return run_task(task)
+
+        monkeypatch.setattr(cli, "_run_task", timed_row)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def test_sweep_under_the_budget_starts_no_pool(self, monkeypatch):
+        sizes, _, _ = self._record_pools(monkeypatch)
+        self._fake_clock(monkeypatch, 0.0)
+        args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "json"]
+        assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
+        assert sizes == []
+
+    def test_rows_past_the_budget_go_to_the_pool(self, monkeypatch):
+        # 45 rows of 0.2 s against a 0.5 s budget: 3 run serially, then the
+        # other 42 go to 2 workers in chunks of 42 // 8 = 5
+        sizes, chunks, mapped = self._record_pools(monkeypatch)
+        self._fake_clock(monkeypatch, 0.2)
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0.5)
+        args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "json"]
+        assert render_to_string(args + ["--jobs", "2"]) == render_to_string(args + ["--jobs", "1"])
+        assert (sizes, chunks, mapped) == ([2], [5], [42])
 
     def test_pool_is_sized_to_the_work(self, monkeypatch):
-        sizes, _ = self._record_pools(monkeypatch)
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
+        sizes, _, _ = self._record_pools(monkeypatch)
         args = ["ke", "--family", "blpp", "--n", "4..5", "--p", "all", "--format", "json"]
         assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
         assert sizes == [3]
@@ -488,13 +534,15 @@ class TestTasks:
     def test_rows_go_to_the_pool_in_chunks(self, monkeypatch):
         # 45 rows on 2 workers: four chunks a worker is 45 // 8 = 5 rows each;
         # 3 rows on 3 workers cannot be split below one row
-        sizes, chunks = self._record_pools(monkeypatch)
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
+        sizes, chunks, _ = self._record_pools(monkeypatch)
         for top, jobs in ((12, 2), (5, 64)):
             render_to_string(["ke", "--family", "blpp", "--n", f"4..{top}", "--p", "all",
                               "--format", "json", "--jobs", str(jobs)])
         assert sizes == [2, 3] and chunks == [5, 1]
 
-    def test_chunked_pool_keeps_row_order(self):
+    def test_chunked_pool_keeps_row_order(self, monkeypatch):
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)  # a real 2-worker pool
         args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "csv"]
         assert render_to_string(args + ["--jobs", "2"]) == render_to_string(args + ["--jobs", "1"])
 
@@ -513,9 +561,19 @@ class TestTasks:
                              check=True, cwd=SRC_DIR.parent)
         assert out.stdout.strip() == "[]"
 
+    def test_only_verify_imports_the_suites(self):
+        # a fresh interpreter parses a sweep and a verify invocation without kstab.verify
+        code = ("import sys; from kstab.cli import parse_spec; "
+                "parse_spec(['ke', '--family', 'blqq', '--n', '6..9', '--p', 'all']); "
+                "parse_spec(['verify', '--suite', 'all', '--max-n', '16']); "
+                "print('kstab.verify' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=SRC_DIR.parent)
+        assert out.stdout.strip() == "False"
+
     def test_verify_starts_no_pool(self, monkeypatch, capsys):
-        sizes, _ = self._record_pools(monkeypatch)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        sizes, _, _ = self._record_pools(monkeypatch)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
         assert main(["verify", "--suite", "properties", "--max-n", "7"]) == 0
         assert "byte-identical json/csv" in capsys.readouterr().out
         assert sizes == []
