@@ -39,10 +39,9 @@ SCHEMA_VERSION = 1
 MAX_WORK = 50_000
 # The largest verify --max-n; the suite's cost grows about as n^3.
 MAX_VERIFY_N = 80
-# A sweep starts its pool only once its rows have run this long serially.  On
-# a 2-vCPU box the pool costs about 40 ms before its first row (importing
-# concurrent.futures.process, then starting the workers): about ten times
-# that keeps the start-up a small share of any sweep that pays for it.
+# A sweep's pool starts once the rows done predict this long serially for the
+# rows left: about ten times the pool's start-up, 40 ms on a 2-vCPU box
+# (importing concurrent.futures.process, then starting the workers).
 SERIAL_BUDGET_S = 0.5
 
 _FAMILIES = {tag.cli_name: tag for tag in FamilyTag}
@@ -141,7 +140,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--jobs", default=_available_cpus(),
-                       help="most workers a sweep may use once its rows have run "
+                       help="most workers a sweep may use once its rows left would take "
                             f"{SERIAL_BUDGET_S} s serially (default: the available parallelism)")
 
     ke = sub.add_parser("ke", help="Kähler-Einstein / K-semistability classification")
@@ -371,13 +370,14 @@ def _coupled_result(task: Task) -> tuple[str, dict]:
 
 
 def _execute_tasks(tasks: Sequence[Task], jobs: int) -> list[dict]:
-    """Run the rows in order: serially, until they have taken SERIAL_BUDGET_S
-    and at least two are left, then the rest on a pool of at most ``jobs``."""
+    """Run the rows in order: serially, until the rows done predict SERIAL_BUDGET_S
+    for the two or more left, then those on a pool of at most ``jobs``."""
     rows: list[dict] = []
     started = time.perf_counter()
     while len(rows) < len(tasks):
         left = len(tasks) - len(rows)
-        if jobs < 2 or left < 2 or time.perf_counter() - started < SERIAL_BUDGET_S:
+        if (jobs < 2 or left < 2 or not rows
+                or (time.perf_counter() - started) / len(rows) * left < SERIAL_BUDGET_S):
             rows.append(_run_task(tasks[len(rows)]))
             continue
         # imported here: the pool pulls in multiprocessing, logging and

@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import pickle
 import subprocess
@@ -495,13 +496,14 @@ class TestTasks:
         return sizes, chunks, mapped
 
     @staticmethod
-    def _fake_clock(monkeypatch, row_s: float) -> None:
-        """cli reads a clock on which each row takes ``row_s`` seconds."""
+    def _fake_clock(monkeypatch, row_s) -> None:
+        """cli reads a clock on which the i-th row run (from 0) takes ``row_s(i)`` seconds."""
         now = [0.0]
         run_task = cli._run_task
+        done = itertools.count()
 
         def timed_row(task):
-            now[0] += row_s
+            now[0] += row_s(next(done))
             return run_task(task)
 
         monkeypatch.setattr(cli, "_run_task", timed_row)
@@ -509,35 +511,43 @@ class TestTasks:
 
     def test_sweep_under_the_budget_starts_no_pool(self, monkeypatch):
         sizes, _, _ = self._record_pools(monkeypatch)
-        self._fake_clock(monkeypatch, 0.0)
+        self._fake_clock(monkeypatch, lambda i: 0.0)
         args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "json"]
         assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
         assert sizes == []
 
-    def test_rows_past_the_budget_go_to_the_pool(self, monkeypatch):
-        # 45 rows of 0.2 s against a 0.5 s budget: 3 run serially, then the
-        # other 42 go to 2 workers in chunks of 42 // 8 = 5
+    @pytest.mark.parametrize("row_s, serial", [
+        (lambda i: 0.2, 1),  # 44 rows left at 0.2 s predict 8.8 s
+        (lambda i: 0.011, 45),  # 44 rows left at 0.011 s predict 0.484 s
+        (lambda i: 0.001 if i < 10 else 0.1, 12),  # 0.21 s / 12 rows * 33 left = 0.58 s
+    ])
+    def test_rows_past_the_budget_go_to_the_pool(self, monkeypatch, row_s, serial):
+        # 45 rows against a 0.5 s budget: once the rows done predict 0.5 s for
+        # the rows left, those go to 2 workers in chunks of rows left // 8
         sizes, chunks, mapped = self._record_pools(monkeypatch)
-        self._fake_clock(monkeypatch, 0.2)
+        self._fake_clock(monkeypatch, row_s)
         monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0.5)
         args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "json"]
+        # the pooled render first, so the clock's row numbers are its own
         assert render_to_string(args + ["--jobs", "2"]) == render_to_string(args + ["--jobs", "1"])
-        assert (sizes, chunks, mapped) == ([2], [5], [42])
+        pooled = [45 - serial] if serial < 45 else []
+        assert (sizes, chunks, mapped) == ([2] * len(pooled), [n // 8 for n in pooled], pooled)
 
     def test_pool_is_sized_to_the_work(self, monkeypatch):
+        # with no budget the first of 4 rows runs serially and the pool gets 3
         monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
         sizes, _, _ = self._record_pools(monkeypatch)
-        args = ["ke", "--family", "blpp", "--n", "4..5", "--p", "all", "--format", "json"]
+        args = ["ke", "--family", "blpp", "--n", "4..7", "--p", "2", "--format", "json"]
         assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
         assert sizes == [3]
 
     def test_rows_go_to_the_pool_in_chunks(self, monkeypatch):
-        # 45 rows on 2 workers: four chunks a worker is 45 // 8 = 5 rows each;
-        # 3 rows on 3 workers cannot be split below one row
+        # the 44 rows after the first on 2 workers: four chunks a worker is
+        # 44 // 8 = 5 rows each; 3 rows left on 3 workers cannot be split below one row
         monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
         sizes, chunks, _ = self._record_pools(monkeypatch)
-        for top, jobs in ((12, 2), (5, 64)):
-            render_to_string(["ke", "--family", "blpp", "--n", f"4..{top}", "--p", "all",
+        for n, p, jobs in (("4..12", "all", 2), ("4..7", "2", 64)):
+            render_to_string(["ke", "--family", "blpp", "--n", n, "--p", p,
                               "--format", "json", "--jobs", str(jobs)])
         assert sizes == [2, 3] and chunks == [5, 1]
 
