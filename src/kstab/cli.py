@@ -33,10 +33,12 @@ from .poly import _excerpt, rational_from_str, rational_to_str
 from .suites import SUITE_CRITERIA
 
 SCHEMA_VERSION = 1
-# The largest sweep admitted: rows × n (n = 2k + 1 for coupled), --bisections
-# of coupled and the length of a range may not exceed it.  A larger one
-# exits 1 before any row is built.
+# The largest sweep admitted: rows × n (n = 2k + 1 for coupled) and the length
+# of a range may not exceed it.  A larger one exits 1 before any row is built.
 MAX_WORK = 50_000
+# The most bisections of a coupled search: they narrow its bracket to width
+# 2^-200, while the integers of each probe grow with the bisection count.
+MAX_BISECTIONS = 200
 # The largest verify --max-n; the suite's cost grows about as n^3.
 MAX_VERIFY_N = 80
 # A sweep's pool starts once the rows done predict this long serially for the
@@ -232,8 +234,8 @@ def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
     end = None if ns.end is None else _parse_divisor(ns.end, "--end")
     if ns.bisections < 0:
         raise SpecError("field --bisections: must be nonnegative")
-    if ns.bisections > MAX_WORK:
-        raise SpecError(f"field --bisections: must be at most {MAX_WORK}")
+    if ns.bisections > MAX_BISECTIONS:
+        raise SpecError(f"field --bisections: must be at most {MAX_BISECTIONS}")
     _check_rows("--k", len(k_values), 2 * max(k_values) + 1)
     if all(k < 2 for k in k_values):
         raise SpecError("field --k: must reach at least 2")
@@ -370,14 +372,16 @@ def _coupled_result(task: Task) -> tuple[str, dict]:
 
 
 def _execute_tasks(tasks: Sequence[Task], jobs: int) -> list[dict]:
-    """Run the rows in order: serially, until the rows done predict SERIAL_BUDGET_S
-    for the two or more left, then those on a pool of at most ``jobs``."""
+    """Run the rows in order: serially, until the rows done, once they have taken
+    SERIAL_BUDGET_S / 10, predict SERIAL_BUDGET_S for the two or more left; then
+    those on a pool of at most ``jobs``."""
     rows: list[dict] = []
     started = time.perf_counter()
     while len(rows) < len(tasks):
         left = len(tasks) - len(rows)
-        if (jobs < 2 or left < 2 or not rows
-                or (time.perf_counter() - started) / len(rows) * left < SERIAL_BUDGET_S):
+        elapsed = time.perf_counter() - started
+        if (jobs < 2 or left < 2 or not rows or elapsed < SERIAL_BUDGET_S / 10
+                or elapsed / len(rows) * left < SERIAL_BUDGET_S):
             rows.append(_run_task(tasks[len(rows)]))
             continue
         # imported here: the pool pulls in multiprocessing, logging and

@@ -3,8 +3,7 @@
 Conventions used throughout the package:
 
 * The only scalar type is ``fractions.Fraction`` (arbitrary precision,
-  always in lowest terms with positive denominator).  The alias
-  ``Rational`` is exported for readability.
+  always in lowest terms with positive denominator).
 * ``Poly1`` is dense: a tuple of coefficients indexed by degree, with no
   trailing zero (the zero polynomial is the empty tuple).
 * ``Poly2`` is sparse: a sorted tuple of ``(deg_x, deg_y, coefficient)``
@@ -24,8 +23,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InvalidParameterError
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 _PIECE = 10 ** 600

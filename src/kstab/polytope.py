@@ -145,14 +145,19 @@ def _convex_hull(pts: list[Triple]) -> list[Triple]:
 def polygon_from_halfplanes(halfplanes: Iterable[HalfPlane]) -> Polygon:
     """Intersect halfplanes into a polygon by pairwise vertex enumeration.
 
-    Raises EmptyRegionError, UnboundedRegionError, or DegenerateRegionError
-    when the intersection is not a full-dimensional bounded polygon; the
-    three failure modes carry distinct error codes.
+    Raises InvalidParameterError for a plane whose fields are not integers
+    (HalfPlane.of always makes them so), and EmptyRegionError,
+    UnboundedRegionError or DegenerateRegionError, with distinct error codes,
+    when the intersection is not a full-dimensional bounded polygon.
     """
     planes = list(halfplanes)
     if not planes:
         raise UnboundedRegionError("no constraints: the whole plane is unbounded")
 
+    for hp in planes:
+        if hp.a.denominator != 1 or hp.b.denominator != 1 or hp.c.denominator != 1:
+            raise InvalidParameterError(f"halfplane {hp.a}*x + {hp.b}*y <= {hp.c} has a non-integer "
+                                        "field; build it with HalfPlane.of")
     # HalfPlane.of stores coprime integers, so each plane is its numerators.
     rows = [(hp.a.numerator, hp.b.numerator, hp.c.numerator) for hp in planes]
     a0, b0, _ = rows[0]

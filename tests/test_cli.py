@@ -162,6 +162,7 @@ class TestExitCodes:
         (["verify", "--max-n", "100000"], "field --max-n: must be at most"),
         (["coupled", "--k", "20", "--bisections", "100000"], "field --bisections: must be at most"),
         (["verify", "--max-n", "81"], "field --max-n: must be at most 80"),
+        (["coupled", "--k", "4", "--bisections", "201"], "field --bisections: must be at most 200"),
     ])
     def test_oversized_invocation_is_one_before_any_row(self, monkeypatch, capsys, args, message):
         def refuse(*_):
@@ -207,6 +208,7 @@ class TestExitCodes:
         ["ke", "--family", "quade", "--n", "162"],
         ["coupled", "--k", "20", "--bisections", "40"],
         ["verify", "--suite", "all", "--max-n", "40"],
+        ["coupled", "--k", "20", "--bisections", "200"],
     ])
     def test_largest_documented_invocations_are_admitted(self, args):
         parse_spec(args)
@@ -516,6 +518,18 @@ class TestTasks:
         assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
         assert sizes == []
 
+    def _pooled_on_fake_clock(self, monkeypatch, n, row_s) -> list[int]:
+        """The rows each pool got in a blpp sweep over ``n`` at --jobs 2, whose
+        bytes must equal --jobs 1's; pools have 2 workers and chunks of rows // 8."""
+        sizes, chunks, mapped = self._record_pools(monkeypatch)
+        self._fake_clock(monkeypatch, row_s)
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0.5)
+        args = ["ke", "--family", "blpp", "--n", n, "--p", "all", "--format", "json"]
+        # the pooled render first, so the clock's row numbers are its own
+        assert render_to_string(args + ["--jobs", "2"]) == render_to_string(args + ["--jobs", "1"])
+        assert (sizes, chunks) == ([2] * len(mapped), [rows // 8 for rows in mapped])
+        return mapped
+
     @pytest.mark.parametrize("row_s, serial", [
         (lambda i: 0.2, 1),  # 44 rows left at 0.2 s predict 8.8 s
         (lambda i: 0.011, 45),  # 44 rows left at 0.011 s predict 0.484 s
@@ -523,15 +537,16 @@ class TestTasks:
     ])
     def test_rows_past_the_budget_go_to_the_pool(self, monkeypatch, row_s, serial):
         # 45 rows against a 0.5 s budget: once the rows done predict 0.5 s for
-        # the rows left, those go to 2 workers in chunks of rows left // 8
-        sizes, chunks, mapped = self._record_pools(monkeypatch)
-        self._fake_clock(monkeypatch, row_s)
-        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0.5)
-        args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "json"]
-        # the pooled render first, so the clock's row numbers are its own
-        assert render_to_string(args + ["--jobs", "2"]) == render_to_string(args + ["--jobs", "1"])
+        # the rows left, those go to the pool
         pooled = [45 - serial] if serial < 45 else []
-        assert (sizes, chunks, mapped) == ([2] * len(pooled), [n // 8 for n in pooled], pooled)
+        assert self._pooled_on_fake_clock(monkeypatch, "4..12", row_s) == pooled
+
+    def test_one_short_noisy_row_starts_no_pool(self, monkeypatch):
+        # 200 rows: the first one's 3 ms predict 0.597 s for the 199 left, but
+        # 3 ms is under a tenth of the budget; by 50 ms (48 rows) the 152 left
+        # predict 0.16 s
+        row_s = lambda i: 0.003 if i == 0 else 0.001
+        assert self._pooled_on_fake_clock(monkeypatch, "8..23", row_s) == []
 
     def test_pool_is_sized_to_the_work(self, monkeypatch):
         # with no budget the first of 4 rows runs serially and the pool gets 3

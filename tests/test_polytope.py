@@ -223,6 +223,12 @@ class TestConstruction:
     def test_halfplane_canonical_form(self):
         assert HalfPlane.of(F(1, 2), F(1, 4), F(3, 4)) == HalfPlane.of(2, 1, 3)
 
+    def test_directly_built_fractional_plane_rejected(self):
+        # x/2 <= 1 is x <= 2; read by its numerators it would close the unit square
+        half = HalfPlane(F(1, 2), F(0), F(1))
+        with pytest.raises(InvalidParameterError, match=r"halfplane 1/2\*x \+ 0\*y <= 1 "):
+            polygon_from_halfplanes(_planes((-1, 0, 0), (0, -1, 0), (0, 1, 1)) + [half])
+
 
 _coord = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 _point = st.tuples(_coord, _coord)
