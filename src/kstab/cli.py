@@ -46,9 +46,6 @@ MAX_VERIFY_N = 80
 # (importing concurrent.futures.process, then starting the workers).
 SERIAL_BUDGET_S = 0.5
 
-_FAMILIES = {tag.cli_name: tag for tag in FamilyTag}
-
-
 class SpecError(Exception):
     """Invalid command line; maps to exit code 1."""
 
@@ -146,7 +143,7 @@ def _build_parser() -> _Parser:
                             f"{SERIAL_BUDGET_S} s serially (default: the available parallelism)")
 
     ke = sub.add_parser("ke", help="Kähler-Einstein / K-semistability classification")
-    ke.add_argument("--family", required=True, choices=sorted(_FAMILIES))
+    ke.add_argument("--family", required=True, choices=sorted(t.value for t in FamilyTag))
     ke.add_argument("--n", required=True, help="integer or inclusive range lo..hi")
     ke.add_argument("--p", default=None, help="integer, range, or 'all'")
     add_common(ke)
@@ -176,7 +173,7 @@ def _build_parser() -> _Parser:
     add_common(ver)
 
     dump = sub.add_parser("dump-instance", help="emit the structured record of one instance")
-    dump.add_argument("--family", required=True, choices=sorted(_FAMILIES))
+    dump.add_argument("--family", required=True, choices=sorted(t.value for t in FamilyTag))
     dump.add_argument("--n", required=True)
     dump.add_argument("--p", default=None)
     dump.add_argument("--divisor", default=None,
@@ -286,9 +283,9 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
     for name in ("jobs", "max_n", "bisections") + (("n", "p") if ns.command == "dump-instance" else ()):
         if getattr(ns, name, None) is not None:
             setattr(ns, name, _parse_int(getattr(ns, name), "--" + name.replace("_", "-")))
-    tag = _FAMILIES.get(getattr(ns, "family", ""))
+    tag = FamilyTag(ns.family) if hasattr(ns, "family") else None
     if getattr(ns, "p", None) is not None and not tag.takes_p:
-        raise SpecError(f"field --p: family {tag.cli_name} takes no p")
+        raise SpecError(f"field --p: family {tag.value} takes no p")
     tasks: tuple[Task, ...] = ()
     member = None
     if ns.command == "verify":
@@ -316,7 +313,7 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
 
 def _run_task(task: Task) -> dict:
     started = time.perf_counter()
-    row = {"family": task.family.cli_name, "params": task.params}
+    row = {"family": task.family.value, "params": task.params}
     try:
         result = {"ke": _ke_result, "mabuchi": _mabuchi_result, "mh": _mh_result,
                   "coupled": _coupled_result}[task.command]
@@ -374,7 +371,10 @@ def _coupled_result(task: Task) -> tuple[str, dict]:
 def _execute_tasks(tasks: Sequence[Task], jobs: int) -> list[dict]:
     """Run the rows in order: serially, until the rows done, once they have taken
     SERIAL_BUDGET_S / 10, predict SERIAL_BUDGET_S for the two or more left; then
-    those on a pool of at most ``jobs``."""
+    those on a pool of at most ``jobs`` workers and no more than the CPUs
+    available.  A pool that cannot start or that breaks hands the rows it has
+    not returned back to the serial loop, with one line on stderr."""
+    jobs = min(jobs, _available_cpus())
     rows: list[dict] = []
     started = time.perf_counter()
     while len(rows) < len(tasks):
@@ -387,6 +387,7 @@ def _execute_tasks(tasks: Sequence[Task], jobs: int) -> list[dict]:
         # imported here: the pool pulls in multiprocessing, logging and
         # socket, which a serial run would pay for at every start
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         workers = min(jobs, left)
         # a few chunks per worker rather than one round trip per row; map
@@ -395,7 +396,7 @@ def _execute_tasks(tasks: Sequence[Task], jobs: int) -> list[dict]:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows.extend(pool.map(_run_task, tasks[len(rows):], chunksize=chunksize))
-        except OSError as exc:
+        except (OSError, BrokenProcessPool) as exc:
             print(f"kstab: worker pool unavailable ({type(exc).__name__}: {exc}); running serially",
                   file=sys.stderr)
             jobs = 1

@@ -32,7 +32,7 @@ from .families import (
     check_params,
     resolve_anticanonical,
 )
-from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, _times, binomial
+from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, _times
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +78,10 @@ def classify_offset(xi: Sequence[Fraction], strict_axes: Sequence[int]) -> KESta
 def _check_anticanonical(inst: FamilyInstance) -> None:
     """The criteria hold for the anticanonical class of a member only."""
     if not inst.ample:
-        raise NotAmpleError(f"{inst.tag.cli_name}{inst.dims}: divisor is not ample")
+        raise NotAmpleError(f"{inst.tag.value}{inst.dims}: divisor is not ample")
     if inst.divisor != anticanonical_divisor(inst.tag, *inst.dims):
         raise NotAnticanonicalError(
-            f"{inst.tag.cli_name}{inst.dims}: the criteria need the anticanonical divisor"
+            f"{inst.tag.value}{inst.dims}: the criteria need the anticanonical divisor"
         )
 
 
@@ -122,7 +122,7 @@ def blqq_x_moment_closed(k: int, l: int) -> Fraction:
     total = Fraction(0)
     for j in range(l + 1):
         total += (
-            binomial(l, j)
+            math.comb(l, j)
             * Fraction(l ** (l - j), k ** (l - j + 1))
             * Fraction(math.factorial(k - 1) * math.factorial(j), math.factorial(k + j + 1))
             * (j * (1 - k) + 1)
@@ -200,7 +200,7 @@ def mabuchi(inst: FamilyInstance) -> MabuchiVerdict:
     center = [a for a in range(len(inst.target)) if a not in inst.strict_axes]
     if len(center) != 1:
         raise InvalidParameterError(
-            f"{inst.tag.cli_name}{inst.dims}: the Mabuchi test needs exactly one center axis"
+            f"{inst.tag.value}{inst.dims}: the Mabuchi test needs exactly one center axis"
         )
     (axis,) = center
     u = AffineForm.of(0, *(int(i == axis) for i in range(len(inst.target))))

@@ -13,9 +13,6 @@ class KstabError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str):
-        super().__init__(message)
-
 
 class InvalidParameterError(KstabError, ValueError):
     """An argument is outside the documented domain of an operation."""

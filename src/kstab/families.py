@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import InvalidParameterError, WeightPositivityError, ZeroMassError
 from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, rational_to_str
-from .polytope import HalfPlane, Polygon, Segment, polygon_from_halfplanes
+from .polytope import Polygon, Segment, polygon_from_halfplanes
 from .quadrature import integrate_factored, integrate_factored_along
 
 Divisor = tuple[Fraction, ...]
@@ -75,10 +75,6 @@ class FamilyTag(enum.Enum):
     def dimension(self) -> int:
         """Dimension of the moment domain (1 for blpp, 2 otherwise)."""
         return 1 if self is FamilyTag.BLPP else 2
-
-    @property
-    def cli_name(self) -> str:
-        return self.value
 
     @property
     def takes_p(self) -> bool:
@@ -282,7 +278,7 @@ def _build(tag: FamilyTag, n: int, p: int | None, divisor: Divisor) -> FamilyIns
         domain: Union[Segment, Polygon] = Segment.of(
             max(c / a for (a,), c in facets if a < 0), min(c / a for (a,), c in facets if a > 0))
     else:
-        domain = polygon_from_halfplanes(HalfPlane.of(*normal, c) for normal, c in facets)
+        domain = polygon_from_halfplanes((*normal, c) for normal, c in facets)
     weight = FactoredWeight.of(
         1, [(AffineForm.of(*coeffs), mult) for coeffs, mult in data.weight(n, p, *divisor)])
     _check_weight_positive(weight, domain.vertices)
@@ -355,7 +351,7 @@ def instance_record(inst: FamilyInstance) -> dict:
         }
     return {
         "schema_version": RECORD_SCHEMA_VERSION,
-        "family": inst.tag.cli_name,
+        "family": inst.tag.value,
         "dims": list(inst.dims),
         "divisor": [rational_to_str(v) for v in inst.divisor],
         "domain": domain,

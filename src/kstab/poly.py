@@ -82,15 +82,6 @@ def _digits(n: int) -> str:
     return "-" * (n < 0) + str(rest) + "".join(reversed(pieces))
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient ``n choose k`` for 0 <= k <= n."""
-    if n < 0 or k < 0:
-        raise InvalidParameterError(f"binomial({n}, {k}): arguments must be nonnegative")
-    if k > n:
-        raise InvalidParameterError(f"binomial({n}, {k}): k exceeds n")
-    return math.comb(n, k)
-
-
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value

@@ -142,24 +142,19 @@ def _convex_hull(pts: list[Triple]) -> list[Triple]:
     return lower[:-1] + upper[:-1]
 
 
-def polygon_from_halfplanes(halfplanes: Iterable[HalfPlane]) -> Polygon:
+def polygon_from_halfplanes(halfplanes: Iterable[Sequence[RationalLike]]) -> Polygon:
     """Intersect halfplanes into a polygon by pairwise vertex enumeration.
 
-    Raises InvalidParameterError for a plane whose fields are not integers
-    (HalfPlane.of always makes them so), and EmptyRegionError,
-    UnboundedRegionError or DegenerateRegionError, with distinct error codes,
-    when the intersection is not a full-dimensional bounded polygon.
+    Each plane, a ``HalfPlane`` or any (a, b, c), is first made canonical by
+    ``HalfPlane.of``, which raises InvalidParameterError for a zero normal; so
+    planes that describe the same region give the same polygon, however they
+    were scaled.  Raises EmptyRegionError, UnboundedRegionError or
+    DegenerateRegionError, with distinct error codes, when the intersection is
+    not a full-dimensional bounded polygon.
     """
-    planes = list(halfplanes)
-    if not planes:
+    rows = [tuple(v.numerator for v in HalfPlane.of(*plane)) for plane in halfplanes]
+    if not rows:
         raise UnboundedRegionError("no constraints: the whole plane is unbounded")
-
-    for hp in planes:
-        if hp.a.denominator != 1 or hp.b.denominator != 1 or hp.c.denominator != 1:
-            raise InvalidParameterError(f"halfplane {hp.a}*x + {hp.b}*y <= {hp.c} has a non-integer "
-                                        "field; build it with HalfPlane.of")
-    # HalfPlane.of stores coprime integers, so each plane is its numerators.
-    rows = [(hp.a.numerator, hp.b.numerator, hp.c.numerator) for hp in planes]
     a0, b0, _ = rows[0]
     if all(a0 * b - b0 * a == 0 for a, b, _ in rows[1:]):
         _classify_parallel_strip(rows)
@@ -196,8 +191,9 @@ def polygon_from_halfplanes(halfplanes: Iterable[HalfPlane]) -> Polygon:
     # plane is coprime and outward already, so it is the edge's halfplane.
     edges = []
     for (x1, y1, d1), (x2, y2, d2) in zip(hull, hull[1:] + hull[:1]):
-        edges.append(next(hp for hp, (a, b, c) in zip(planes, rows)
-                          if a * x1 + b * y1 == c * d1 and a * x2 + b * y2 == c * d2))
+        edge = next((a, b, c) for a, b, c in rows
+                    if a * x1 + b * y1 == c * d1 and a * x2 + b * y2 == c * d2)
+        edges.append(HalfPlane(*map(Fraction, edge)))
     return Polygon(tuple(points[t] for t in hull), tuple(edges))
 
 

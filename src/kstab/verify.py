@@ -21,7 +21,7 @@ from .criteria import KEStatus, MabuchiStatus
 from .errors import InvalidParameterError, KstabError
 from .families import FamilyTag, resolve, resolve_anticanonical
 from .poly import Poly2, rational_to_str
-from .polytope import HalfPlane, Polygon, fan_triangles, polygon_from_halfplanes
+from .polytope import Polygon, fan_triangles, polygon_from_halfplanes
 from .quadrature import integrate_poly2_polygon, integrate_poly2_triangle
 from .suites import SUITE_CRITERIA
 
@@ -155,7 +155,7 @@ def check_quadric_blowups(max_n: int) -> list[CheckResult]:
         _check(3, "blqq with p = 3 is Kähler-Einstein",
                [(n,) for n in range(FamilyTag.BLQQ.min_n, max_n + 1)], balanced, "instances"),
     ] + [
-        _check(3, f"{tag.cli_name} is Kähler-Einstein with positive x-witness",
+        _check(3, f"{tag.value} is Kähler-Einstein with positive x-witness",
                [(tag, n) for n in range(tag.min_n, max_n + 1)], positive_x, "instances")
         for tag in (FamilyTag.QUAD_E, FamilyTag.QUAD_PM)
     ]
@@ -281,7 +281,7 @@ def _random_poly2(rng: random.Random, max_degree: int) -> Poly2:
     return poly if not poly.is_zero else Poly2.constant(1)
 
 
-def _random_chord(rng: random.Random, polygon: Polygon) -> HalfPlane:
+def _random_chord(rng: random.Random, polygon: Polygon) -> tuple[Fraction, Fraction, Fraction]:
     m = len(polygon.vertices)
     i = rng.randrange(m)
     j = (i + rng.randrange(1, m)) % m
@@ -293,7 +293,7 @@ def _random_chord(rng: random.Random, polygon: Polygon) -> HalfPlane:
 
     a, b = edge_point(i), edge_point(j)
     normal = (b[1] - a[1], a[0] - b[0])
-    return HalfPlane.of(normal[0], normal[1], normal[0] * a[0] + normal[1] * a[1])
+    return normal[0], normal[1], normal[0] * a[0] + normal[1] * a[1]
 
 
 def _chord_splits(rng: random.Random, polygons: list[Polygon], wanted: int) -> list[tuple]:
@@ -305,7 +305,7 @@ def _chord_splits(rng: random.Random, polygons: list[Polygon], wanted: int) -> l
             break
         polygon = polygons[attempt % len(polygons)]
         chord = _random_chord(rng, polygon)
-        flipped = HalfPlane.of(-chord.a, -chord.b, -chord.c)
+        flipped = tuple(-v for v in chord)
         try:
             part_one = polygon_from_halfplanes(polygon.halfplanes + (chord,))
             part_two = polygon_from_halfplanes(polygon.halfplanes + (flipped,))
@@ -337,7 +337,7 @@ def check_quadrature_properties(max_n: int) -> list[CheckResult]:
     def inside(tag, n, p):
         inst = resolve_anticanonical(tag, n, p)
         if not inst.domain.contains(inst.moments[1]):
-            yield f"{tag.cli_name} n={n}" + ("" if p is None else f",p={p}")
+            yield f"{tag.value} n={n}" + ("" if p is None else f",p={p}")
 
     blpp = _members(FamilyTag.BLPP, max_n)
     xi = {(n, p): _verdict(FamilyTag.BLPP, n, p).xi[0] for n, p in blpp}

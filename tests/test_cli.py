@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import types
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -459,6 +460,7 @@ class TestTasks:
 
     def test_pool_failure_falls_back_visibly(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
         args = ["ke", "--family", "blpp", "--n", "4..6", "--p", "all", "--format", "json"]
         serial = render_to_string(args + ["--jobs", "1"])
         capsys.readouterr()
@@ -472,10 +474,25 @@ class TestTasks:
         assert len(err) == 1
         assert "OSError: no semaphores" in err[0] and "serially" in err[0]
 
+    def test_pool_broken_mid_sweep_falls_back_visibly(self, monkeypatch, capsys):
+        # the pool returns two rows and breaks; the serial loop runs the rest
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
+        args = ["ke", "--family", "blpp", "--n", "4..6", "--p", "all", "--format", "json"]
+        assert main(args + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        sizes, _, _ = self._record_pools(monkeypatch, break_after=2)
+        assert main(args + ["--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial and sizes == [2]
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "BrokenProcessPool: a worker died" in err[0] and "serially" in err[0]
 
     @staticmethod
-    def _record_pools(monkeypatch) -> tuple[list, list, list]:
-        """Fake pools record their size, and the chunk size and row count of each map."""
+    def _record_pools(monkeypatch, cpus=64, break_after=None) -> tuple[list, list, list]:
+        """Fake pools record their size, and the chunk size and row count of each map.
+        cli sees ``cpus`` CPUs; with ``break_after``, a map returns that many rows
+        and then breaks as a pool whose worker died."""
         sizes, chunks, mapped = [], [], []
 
         class RecordingPool:
@@ -492,9 +509,16 @@ class TestTasks:
                 assert isinstance(chunksize, int) and chunksize >= 1
                 chunks.append(chunksize)
                 mapped.append(len(items))
-                return map(fn, items)
+                if break_after is None:
+                    return map(fn, items)
+
+                def broken():
+                    yield from map(fn, items[:break_after])
+                    raise BrokenProcessPool("a worker died")
+                return broken()
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
         return sizes, chunks, mapped
 
     @staticmethod
@@ -555,6 +579,15 @@ class TestTasks:
         args = ["ke", "--family", "blpp", "--n", "4..7", "--p", "2", "--format", "json"]
         assert render_to_string(args + ["--jobs", "64"]) == render_to_string(args + ["--jobs", "1"])
         assert sizes == [3]
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, [])])
+    def test_pool_is_capped_at_the_cpus(self, monkeypatch, cpus, sizes):
+        # --jobs has no upper bound, so the CPUs bound the pool; one CPU runs serially
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
+        recorded, _, _ = self._record_pools(monkeypatch, cpus=cpus)
+        args = ["ke", "--family", "blpp", "--n", "4..7", "--p", "2", "--format", "json"]
+        assert render_to_string(args + ["--jobs", "3000"]) == render_to_string(args + ["--jobs", "1"])
+        assert recorded == sizes
 
     def test_rows_go_to_the_pool_in_chunks(self, monkeypatch):
         # the 44 rows after the first on 2 workers: four chunks a worker is
@@ -653,7 +686,7 @@ _divisors = st.lists(_coefficients, max_size=4).map(",".join)
 _endpoints = st.one_of(_divisors, st.lists(
     st.builds(F, st.integers(-1, 6), st.integers(1, 4)).map(str), min_size=1, max_size=4,
 ).map(",".join))
-_families = st.sampled_from(sorted(cli._FAMILIES) + ["nope"])
+_families = st.sampled_from(sorted(t.value for t in FamilyTag) + ["nope"])
 
 
 def _maybe(flag, values):

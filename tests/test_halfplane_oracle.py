@@ -122,14 +122,17 @@ def _outcome(fn, planes):
         return exc
 
 
-def assert_matches_reference(planes):
-    expected = _outcome(reference_polygon_from_halfplanes, planes)
-    got = _outcome(polygon_from_halfplanes, planes)
+def assert_same_outcome(got, expected):
     if isinstance(expected, KstabError):
         assert type(got) is type(expected), (got, expected)
         assert str(got) == str(expected)
     else:
         assert got == expected
+
+
+def assert_matches_reference(planes):
+    assert_same_outcome(_outcome(polygon_from_halfplanes, planes),
+                        _outcome(reference_polygon_from_halfplanes, planes))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,17 @@ class TestAgainstReference:
     @given(halfplane_sets())
     def test_random_sets(self, planes):
         assert_matches_reference(planes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scaled_planes_built_directly(self, data):
+        # a plane scaled by a positive rational and built without HalfPlane.of
+        # describes the same halfplane, so it gives the canonical outcome
+        planes = data.draw(halfplane_sets())
+        scales = data.draw(st.lists(_positive, min_size=len(planes), max_size=len(planes)))
+        scaled = [HalfPlane(k * hp.a, k * hp.b, k * hp.c) for k, hp in zip(scales, planes)]
+        assert_same_outcome(_outcome(polygon_from_halfplanes, scaled),
+                            _outcome(polygon_from_halfplanes, planes))
 
 
 # ---------------------------------------------------------------------------

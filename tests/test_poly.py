@@ -14,7 +14,6 @@ from kstab.poly import (
     FactoredWeight,
     Poly1,
     Poly2,
-    binomial,
     rational_from_str,
     rational_to_str,
 )
@@ -35,26 +34,6 @@ def brute_beta(a: int, b: int) -> F:
         coeff = pascal_binomial(b - 1, i) * (-1) ** i
         total += F(coeff, a + i)  # integral of t^(a-1+i) over [0, 1]
     return total
-
-
-class TestBinomial:
-    def test_small_case(self):
-        assert binomial(5, 2) == 10
-
-    def test_identity_case(self):
-        for n in (0, 1, 7, 40):
-            assert binomial(n, 0) == 1
-
-    def test_pascal_oracle(self):
-        assert binomial(30, 15) == pascal_binomial(30, 15) == 155117520
-
-    def test_k_exceeds_n(self):
-        with pytest.raises(InvalidParameterError):
-            binomial(3, 4)
-
-    def test_negative(self):
-        with pytest.raises(InvalidParameterError):
-            binomial(-1, 0)
 
 
 def beta_int(a: int, b: int) -> F:

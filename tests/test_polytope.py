@@ -224,10 +224,21 @@ class TestConstruction:
         assert HalfPlane.of(F(1, 2), F(1, 4), F(3, 4)) == HalfPlane.of(2, 1, 3)
 
     def test_directly_built_fractional_plane_rejected(self):
-        # x/2 <= 1 is x <= 2; read by its numerators it would close the unit square
-        half = HalfPlane(F(1, 2), F(0), F(1))
-        with pytest.raises(InvalidParameterError, match=r"halfplane 1/2\*x \+ 0\*y <= 1 "):
-            polygon_from_halfplanes(_planes((-1, 0, 0), (0, -1, 0), (0, 1, 1)) + [half])
+        # x/2 <= 1 is x <= 2: its numerators (x <= 1) are never read as the plane
+        bounds = _planes((-1, 0, 0), (0, -1, 0), (0, 1, 1))
+        half = polygon_from_halfplanes(bounds + [HalfPlane(F(1, 2), F(0), F(1))])
+        assert half == polygon_from_halfplanes(bounds + _planes((1, 0, 2)))
+        assert half.vertices[1] == (2, 0)
+
+    def test_directly_built_scaled_plane_is_canonical(self):
+        bounds = _planes((-1, 0, 0), (0, -1, 0), (0, 1, 1))
+        doubled = polygon_from_halfplanes(bounds + [HalfPlane(F(2), F(0), F(2))])
+        assert doubled == polygon_from_halfplanes(bounds + _planes((1, 0, 1)))
+
+    def test_directly_built_zero_normal_rejected(self):
+        zero = HalfPlane(F(0), F(0), F(1))
+        with pytest.raises(InvalidParameterError, match="halfplane normal must be nonzero"):
+            polygon_from_halfplanes(UNIT_SQUARE + [zero])
 
 
 _coord = st.fractions(min_value=-50, max_value=50, max_denominator=60)
