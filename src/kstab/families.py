@@ -48,10 +48,13 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
+from operator import mul
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import InvalidParameterError, WeightPositivityError, ZeroMassError
-from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, rational_to_str
+from .poly import (AffineForm, FactoredWeight, RationalLike, _as_fraction, _over_common_denominator,
+                   rational_to_str)
 from .polytope import Polygon, Segment, polygon_from_halfplanes
 from .quadrature import integrate_factored, integrate_factored_along
 
@@ -187,8 +190,14 @@ class FamilyInstance:
         return [FactoredWeight(w.prefactor, w.factors + extra, w.nvars) for extra in in_x]
 
     def integrals(self, extras: Sequence[Factors]) -> list[Fraction]:
-        """Integrals of the weight times each tuple of ``extras``, stated in u."""
-        return [integrate_factored(w, self.domain) for w in self._weights(extras)]
+        """Integrals of the weight times each tuple of ``extras``, stated in u.
+        A polygon takes linear factors only, so there, and nowhere else, an
+        extra (l + k)^m with a constant k != 0 in x is split into its linear
+        pieces C(m, i) k^(m-i) l^i, at most m + 1 of them."""
+        if isinstance(self.domain, Segment):
+            return [integrate_factored(w, self.domain) for w in self._weights(extras)]
+        return [sum(integrate_factored(piece, self.domain) for piece in _linear_pieces(w))
+                for w in self._weights(extras)]
 
     @property
     def _moment_extras(self) -> list[Factors]:
@@ -248,12 +257,33 @@ def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[R
     """Require every affine factor to be nonnegative on the domain and not
     identically zero on it; this makes the weight positive on the interior.
     Every family weight raises each factor to a positive power."""
+    coords, den = _over_common_denominator([c for vertex in vertices for c in vertex])
+    points = [coords[i:i + weight.nvars] for i in range(0, len(coords), weight.nvars)]
     for form, _ in weight.factors:
-        values = [form.evaluate(v) for v in vertices]
+        # In ints: the form's value at each vertex times den and the form's own denominator.
+        (c, *slopes), _ = _over_common_denominator((form.constant, *form.linear))
+        values = [c * den + sum(map(mul, slopes, point)) for point in points]
         if min(values) < 0 or max(values) <= 0:
             raise WeightPositivityError(
                 f"weight factor {form} is not positive on the domain interior"
             )
+
+
+def _linear_pieces(weight: FactoredWeight) -> list[FactoredWeight]:
+    """Weights of linear factors only whose sum is ``weight``: each factor
+    (l + k)^m with k != 0 becomes the pieces C(m, i) k^(m-i) l^i."""
+    if not any(form.constant for form, _ in weight.factors):
+        return [weight]
+    pieces = [weight._replace(factors=())]
+    for form, mult in weight.factors:
+        if not form.constant:
+            pieces = [p._replace(factors=p.factors + ((form, mult),)) for p in pieces]
+            continue
+        linear = form._replace(constant=Fraction(0))
+        pieces = [p._replace(prefactor=p.prefactor * comb(mult, i) * form.constant ** (mult - i),
+                             factors=p.factors + ((linear, i),) * (i > 0))
+                  for p in pieces for i in range(mult + 1)]
+    return pieces
 
 
 def _validated(tag: FamilyTag, n: int, p: int | None,

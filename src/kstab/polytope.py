@@ -63,6 +63,17 @@ class Segment(NamedTuple):
         return self.lo <= _as_fraction(t) <= self.hi
 
 
+def _coprime(a: RationalLike, b: RationalLike, c: RationalLike) -> tuple[int, int, int]:
+    """The plane a*x + b*y <= c, in any scale, as coprime integers: the one
+    canonical form, which ``HalfPlane.of`` keeps as Fractions.  A zero normal
+    raises InvalidParameterError."""
+    (ia, ib, ic), _ = _over_common_denominator([_as_fraction(v) for v in (a, b, c)])
+    if ia == 0 and ib == 0:
+        raise InvalidParameterError("halfplane normal must be nonzero")
+    g = gcd(ia, ib, ic)
+    return ia // g, ib // g, ic // g
+
+
 class HalfPlane(NamedTuple):
     """Constraint a*x + b*y <= c with (a, b) != (0, 0).
 
@@ -76,11 +87,7 @@ class HalfPlane(NamedTuple):
 
     @staticmethod
     def of(a: RationalLike, b: RationalLike, c: RationalLike) -> "HalfPlane":
-        (ia, ib, ic), _ = _over_common_denominator([_as_fraction(v) for v in (a, b, c)])
-        if ia == 0 and ib == 0:
-            raise InvalidParameterError("halfplane normal must be nonzero")
-        g = gcd(ia, ib, ic)
-        return HalfPlane(Fraction(ia // g), Fraction(ib // g), Fraction(ic // g))
+        return HalfPlane(*map(Fraction, _coprime(a, b, c)))
 
     def slack(self, point: Sequence[RationalLike]) -> Fraction:
         """c - (a*x + b*y); nonnegative exactly on the halfplane."""
@@ -146,13 +153,13 @@ def polygon_from_halfplanes(halfplanes: Iterable[Sequence[RationalLike]]) -> Pol
     """Intersect halfplanes into a polygon by pairwise vertex enumeration.
 
     Each plane, a ``HalfPlane`` or any (a, b, c), is first made canonical by
-    ``HalfPlane.of``, which raises InvalidParameterError for a zero normal; so
-    planes that describe the same region give the same polygon, however they
-    were scaled.  Raises EmptyRegionError, UnboundedRegionError or
+    ``_coprime``, as ``HalfPlane.of`` makes it, which raises
+    InvalidParameterError for a zero normal; so planes that describe the same
+    region give the same polygon, however they were scaled.  Raises EmptyRegionError, UnboundedRegionError or
     DegenerateRegionError, with distinct error codes, when the intersection is
     not a full-dimensional bounded polygon.
     """
-    rows = [tuple(v.numerator for v in HalfPlane.of(*plane)) for plane in halfplanes]
+    rows = [_coprime(*plane) for plane in halfplanes]
     if not rows:
         raise UnboundedRegionError("no constraints: the whole plane is unbounded")
     a0, b0, _ = rows[0]

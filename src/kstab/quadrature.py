@@ -1,34 +1,57 @@
-"""Exact integration of polynomials and factored weights over segments,
-triangles, and polygons.
+"""Exact integration of factored weights over segments and polygons, and of
+polynomials over segments and triangles.
 
-Segments and triangles are simplices, and one vertex formula integrates a
-polynomial over either (Baldoni, Berline, De Loera, Köppe and Vergne, "How to
-integrate a polynomial over a simplex", Math. Comp. 80 (2011)).  Over a
-d-simplex with vertices v_0..v_d,
+``integrate_factored`` takes a weight kept as c * prod l_j^m_j, never
+multiplies it out, and is the one place that tells a segment from a polygon.
+Over a segment [lo, hi] it applies the vertex formula of a simplex (below)
+with d = 1 to the affine factors instead of monomials: with u_j = l_j(lo),
+v_j = l_j(hi) and M = sum m_j,
+
+    integral  =  c (hi - lo) / (M+1)! * sum_K K! (M-K)! b_K,
+
+where b is the convolution over j of the sequences C(m_j, k) u_j^(m_j-k) v_j^k,
+k = 0..m_j.  A factor that is constant on the segment, or zero at one end, is
+a single term, and a lone factor is a closed form.
+
+Over a polygon every factor must be linear; a factor with a constant term
+raises ContractError, and ``FamilyInstance.integrals`` splits such an extra
+into linear pieces first.  The weight f is then homogeneous of degree M, and
+Lasserre's edge formula ("Integration on a convex polytope", Proc. AMS 126
+(1998)) integrates it from the boundary alone:
+
+    integral over P of f  =  1/(2+M) * sum over edges v -> w of det(v, w) * integral_0^1 f(v + s(w-v)) ds.
+
+det(v, w) = c_F t_F for the edge's coprime outward plane a x + b y = c_F and
+w - v = t_F (-b, a), so an edge through the origin drops out, and each edge
+integral is the segment formula on the factors' values at v and w.
+
+Both routes run in ints.  The segment ends, or the polygon vertices, go over
+one denominator and each factor's coefficients over theirs, so every end value
+is an int, and each integral builds one Fraction, at the end.  On a segment
+each factor's pair of values is reduced to its least common denominator, so
+the ends of a bisected divisor class, with denominators near 2^40, cost no
+more than their values.
+
+``integrate_factored_along`` is the segment formula over Z[s]: with the segment
+ends and factor constants affine in s, and fixed slopes, every u_j and v_j is
+affine in s.  The factor of highest multiplicity is contracted with the
+weights first, sum_K K! (M-K)! b_K = sum_i b'_i sum_l (i+l)! (M-i-l)! seq_l,
+in O(m^3) integer products, not the O(m^4) of the full convolution.
+
+The routes for the polynomial classes stay: ``integrate_poly1``, the
+``integrate_poly2_*`` pair on fan triangles, ``moments``, ``barycenter``,
+``moments1`` and ``barycenter1``.  Criterion 7's fan-root check integrates by
+triangles; everything else that uses them is a test oracle or the
+benchmark's tracer.  They rest on one vertex formula for a simplex
+(Baldoni, Berline, De Loera, Köppe and Vergne, "How to integrate a polynomial
+over a simplex", Math. Comp. 80 (2011)): over a d-simplex with vertices
+v_0..v_d,
 
     integral of x^i y^j  =  d! vol * i! j! / (i+j+d)! * h_ij,
 
 where h_ij is the coefficient of s^i t^j in the product over the vertices
 of 1 / (1 - x_v s - y_v t).  Only the vertex coordinates enter: there is no
-change of variables.  Polygons are fan-triangulated into vertex triples,
-and each triangle's doubled area is taken once, from its vertices.
-
-``integrate_factored`` takes a weight kept as c * prod l_j^m_j and is the one
-place that tells a segment from a polygon.  Over a segment [lo, hi] it applies
-the same formula with d = 1 to the affine factors instead of monomials, and
-never multiplies them out: with u_j = l_j(lo), v_j = l_j(hi) and M = sum m_j,
-
-    integral  =  c (hi - lo) / (M+1)! * sum_K K! (M-K)! b_K,
-
-where b is the convolution over j of the sequences C(m_j, k) u_j^(m_j-k) v_j^k,
-k = 0..m_j.  Over a polygon the weight is expanded first; every
-two-dimensional family weight is a monomial, so that costs a few terms.
-
-``integrate_factored_along`` is the same formula over Z[s]: with the segment
-ends and factor constants affine in s, and fixed slopes, every u_j and v_j is
-affine in s.  The factor of highest multiplicity is contracted with the
-weights first, sum_K K! (M-K)! b_K = sum_i b'_i sum_l (i+l)! (M-i-l)! seq_l,
-in O(m^3) integer products, not the O(m^4) of the full convolution.
+change of variables.
 
 Everything is a pure function of exact rationals; nothing here rounds.
 """
@@ -36,7 +59,8 @@ Everything is a pure function of exact rationals; nothing here rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError, ZeroMassError
@@ -93,26 +117,123 @@ def _vertex_weights(top: int) -> list[int]:
     return [factorial(k) * factorial(top - k) for k in range(top + 1)]
 
 
+def _bernstein_terms(u: int, v: int, m: int) -> list[int]:
+    """C(m, k) u^(m-k) v^k for k = 0..m, the coefficients of ((1 - s) u + s v)^m
+    on (1 - s)^(m-k) s^k."""
+    u_pows = [1]
+    for _ in range(m):
+        u_pows.append(u_pows[-1] * u)
+    out, binomial, v_pow = [], 1, 1
+    for k in range(m + 1):
+        out.append(binomial * u_pows[m - k] * v_pow)
+        binomial = binomial * (m - k) // (k + 1)
+        v_pow *= v
+    return out
+
+
+def _factorials(top: int) -> list[int]:
+    """0!, 1!, ..., top!."""
+    facts = [1]
+    for k in range(1, top + 1):
+        facts.append(facts[-1] * k)
+    return facts
+
+
+def _unit_integral(ends: Sequence[tuple[int, int, int]], facts: Sequence[int]) -> int:
+    """(M + 1)! times the integral over [0, 1] of the product of
+    ((1 - s) u + s v)^m over ``ends`` = (u, v, m), in ints, with M the sum of
+    the m and ``facts`` the factorials 0!..(M+1)!.
+
+    A factor that is constant on [0, 1] is a scalar, one that vanishes at an
+    end is a power of s or of 1 - s, and factors with equal ends merge.  The
+    rest is the factored vertex formula: with b the convolution of their
+    ``_bernstein_terms``, shifted by the power of s, the integral is
+    sum_K K! (D-K)! b_K / (D+1)! for the degree D left, and the longest
+    sequence is contracted with the weights instead of convolved.  One such
+    factor alone is the closed form (v^(m+1) - u^(m+1)) / ((m+1) (v-u)).
+    """
+    scalar, lead, trail, general = 1, 0, 0, {}
+    for u, v, m in ends:
+        if not m:
+            continue
+        if u == v:
+            scalar *= u**m
+        elif not u:
+            scalar *= v**m
+            trail += m
+        elif not v:
+            scalar *= u**m
+            lead += m
+        else:
+            general[u, v] = general.get((u, v), 0) + m
+    if not scalar:
+        return 0
+    degree = lead + trail + sum(general.values())
+    scalar *= facts[-1] // facts[degree + 1]
+    if not general:
+        return scalar * facts[lead] * facts[trail]
+    if len(general) == 1 and not lead + trail:
+        ((u, v), m), = general.items()
+        return scalar * facts[m] * ((v ** (m + 1) - u ** (m + 1)) // (v - u))
+    seqs = sorted((_bernstein_terms(u, v, m) for (u, v), m in general.items()), key=len)
+    last = seqs.pop()
+    b = [1]
+    for seq in seqs:
+        b = _times(b, seq)
+    w = [facts[k] * facts[degree - k] for k in range(trail, degree + 1)]
+    return scalar * sum(bi * sum(map(mul, w[i:], last)) for i, bi in enumerate(b))
+
+
 def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fraction:
     """Integral of a factored weight over [lo, hi] from each factor's values
     at the two ends: the factored vertex formula with d = 1.
 
-    Each factor's two values are put over their common denominator d_j, so
-    the convolution runs in ints and divides by the product of d_j^m_j once.
+    lo and hi go over one denominator D and each factor's coefficients over
+    theirs, e_j, so the factor's two values are ints over e_j D; they are
+    reduced to their least common denominator d_j, and the one Fraction
+    divides by (M+1)! D prod d_j^m_j.
     """
-    lo, hi = segment.lo, segment.hi
-    b, den = [1], 1
+    (lo, hi), den = _over_common_denominator(segment)
+    ends, scale, top = [], den, 0
     for form, mult in weight.factors:
-        (du, dv), d = _over_common_denominator((form.evaluate((lo,)), form.evaluate((hi,))))
-        u_pows, v_pows = [1], [1]
-        for _ in range(mult):
-            u_pows.append(u_pows[-1] * du)
-            v_pows.append(v_pows[-1] * dv)
-        b = _times(b, [comb(mult, k) * u_pows[mult - k] * v_pows[k] for k in range(mult + 1)])
-        den *= d**mult
-    top = len(b) - 1
-    total = sum(w * bk for w, bk in zip(_vertex_weights(top), b))
-    return weight.prefactor * (hi - lo) * Fraction(total, factorial(top + 1) * den)
+        (c, slope), d = _over_common_denominator((form.constant, *form.linear))
+        u, v, d = c * den + slope * lo, c * den + slope * hi, d * den
+        g = gcd(u, v, d)
+        ends.append((u // g, v // g, mult))
+        scale *= (d // g) ** mult
+        top += mult
+    facts = _factorials(top + 1)
+    p = weight.prefactor
+    return Fraction(p.numerator * (hi - lo) * _unit_integral(ends, facts),
+                    p.denominator * facts[-1] * scale)
+
+
+def _integrate_factored_polygon(weight: FactoredWeight, polygon: Polygon) -> Fraction:
+    """Integral of a product of linear forms, of total degree M, over a
+    polygon from its edges (Lasserre's formula, in the module docstring).
+
+    The vertices go over one denominator D and each factor's slopes over
+    theirs, e_j, so each edge's det(v, w) D^2 and every factor's end values
+    times e_j D are ints; the one Fraction divides by (M+2)! D^(M+2) prod e_j^m_j.
+    """
+    if any(form.constant for form, _ in weight.factors):
+        raise ContractError("a factor with a constant term reached the polygon integrator")
+    coords, den = _over_common_denominator([c for vertex in polygon.vertices for c in vertex])
+    xs, ys = coords[::2], coords[1::2]
+    columns, scale, top = [], 1, 0
+    for form, mult in weight.factors:
+        (a, b), e = _over_common_denominator(form.linear)
+        columns.append(([a * x + b * y for x, y in zip(xs, ys)], mult))
+        scale *= e**mult
+        top += mult
+    facts, total, count = _factorials(top + 1), 0, len(xs)
+    for i in range(count):
+        j = (i + 1) % count
+        det = xs[i] * ys[j] - ys[i] * xs[j]
+        if det:
+            total += det * _unit_integral([(vals[i], vals[j], mult) for vals, mult in columns], facts)
+    p = weight.prefactor
+    return Fraction(p.numerator * total, p.denominator * (top + 2) * facts[-1] * den ** (top + 2) * scale)
 
 
 def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
@@ -143,8 +264,8 @@ def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
                                         if 0 <= K - i < len(seq)))] for K in range(len(b) + len(seq) - 1)]
     top = len(b) + len(last) - 2
     w = _vertex_weights(top)
-    contracted = ([sum(w[i + k] * sk[e] for k, sk in enumerate(last)) for e in range(len(last[0]))]
-                  for i in range(len(b)))
+    columns = list(zip(*last))
+    contracted = ([sum(map(mul, w[i:], column)) for column in columns] for i in range(len(b)))
     total = [sum(col) for col in zip(*map(_times, b, contracted))]
     lengths = (start_segment.hi - start_segment.lo, end_segment.hi - end_segment.lo)
     (l0, l1), dl = _over_common_denominator((lengths[0], lengths[1] - lengths[0]))
@@ -170,10 +291,11 @@ def integrate_poly2_polygon(f: Poly2, polygon: Polygon) -> Fraction:
 
 
 def integrate_factored(weight: FactoredWeight, domain: Segment | Polygon) -> Fraction:
-    """Integral of a factored weight over a segment or a polygon."""
+    """Integral of a factored weight over a segment or a polygon; on a
+    polygon every factor must be linear, or ContractError is raised."""
     if isinstance(domain, Segment):
         return _integrate_factored_segment(weight, domain)
-    return integrate_poly2_polygon(weight.expand(), domain)
+    return _integrate_factored_polygon(weight, domain)
 
 
 class Moments2(NamedTuple):

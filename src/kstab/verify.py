@@ -20,9 +20,9 @@ from . import criteria
 from .criteria import KEStatus, MabuchiStatus
 from .errors import InvalidParameterError, KstabError
 from .families import FamilyTag, resolve, resolve_anticanonical
-from .poly import Poly2, rational_to_str
+from .poly import AffineForm, FactoredWeight, Poly2, rational_to_str
 from .polytope import Polygon, fan_triangles, polygon_from_halfplanes
-from .quadrature import integrate_poly2_polygon, integrate_poly2_triangle
+from .quadrature import integrate_factored, integrate_poly2_triangle
 from .suites import SUITE_CRITERIA
 
 
@@ -257,7 +257,7 @@ def check_multiplier_certificates(max_n: int) -> list[CheckResult]:
 # Criterion 7: property suites
 # --------------------------------------------------------------------------
 
-# The random polynomials and chords of criterion 7 are fixed by this seed.
+# The random weights, polynomials and chords of criterion 7 are fixed by this seed.
 _SEED = 20240212
 _CHORD_SPLITS = 200
 
@@ -296,9 +296,20 @@ def _random_chord(rng: random.Random, polygon: Polygon) -> tuple[Fraction, Fract
     return normal[0], normal[1], normal[0] * a[0] + normal[1] * a[1]
 
 
+def _random_linear_product(rng: random.Random, max_degree: int) -> FactoredWeight:
+    """A random rational times one to four random linear forms, of total degree at most ``max_degree``."""
+    factors, degree = [], 0
+    for _ in range(rng.randint(1, 4)):
+        slopes = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
+        mult = rng.randint(0, max_degree - degree)
+        factors.append((AffineForm.of(0, *slopes), mult))
+        degree += mult
+    return FactoredWeight.of(Fraction(rng.randint(1, 9), rng.randint(1, 9)), factors)
+
+
 def _chord_splits(rng: random.Random, polygons: list[Polygon], wanted: int) -> list[tuple]:
     """Up to ``wanted`` cases (index, polygon, its two parts across a random
-    chord, a random polynomial), from at most 20 chords per case."""
+    chord, a random product of linear forms), from at most 20 chords per case."""
     splits: list[tuple] = []
     for attempt in range(1, wanted * 20 + 1):
         if len(splits) == wanted:
@@ -311,7 +322,8 @@ def _chord_splits(rng: random.Random, polygons: list[Polygon], wanted: int) -> l
             part_two = polygon_from_halfplanes(polygon.halfplanes + (flipped,))
         except KstabError:
             continue
-        splits.append((len(splits), polygon, part_one, part_two, _random_poly2(rng, max_degree=10)))
+        splits.append((len(splits), polygon, part_one, part_two,
+                       _random_linear_product(rng, max_degree=10)))
     return splits
 
 
@@ -319,9 +331,9 @@ def check_quadrature_properties(max_n: int) -> list[CheckResult]:
     rng = random.Random(_SEED)
     polygons = _sample_polygons()
 
-    def additive(index, polygon, part_one, part_two, f):
-        whole = integrate_poly2_polygon(f, polygon)
-        split = integrate_poly2_polygon(f, part_one) + integrate_poly2_polygon(f, part_two)
+    def additive(index, polygon, part_one, part_two, weight):
+        whole = integrate_factored(weight, polygon)
+        split = integrate_factored(weight, part_one) + integrate_factored(weight, part_two)
         if whole != split:
             yield f"case {index}: {whole} != {split}"
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from kstab import criteria, families
+from kstab import criteria, families, polytope, quadrature
 from kstab.criteria import KEStatus, MabuchiStatus, classify_offset
 from kstab.errors import (
     ContractError,
@@ -472,25 +472,43 @@ class TestCoupledSearchCost:
         assert len(calls) == 4
 
 
-class TestSegmentWeightsStayFactored:
-    def test_no_segment_criterion_expands_a_weight(self, monkeypatch):
-        members = [(6, 3), (9, 4), (24, 7)]
-        expanded = {}
-        for n, p in members:
-            inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
-            expanded[n, p] = moments1(inst.weight.expand(), inst.domain)
+def _expanded_verdict(inst):
+    """The ``ke`` verdict from the weight multiplied out and integrated by
+    triangles, or by the segment vertex formula."""
+    if isinstance(inst.domain, Segment):
+        mass, first = moments1(inst.weight.expand(), inst.domain)
+        bary = (first / mass,)
+    else:
+        mass, mx, my = moments(inst.weight.expand(), inst.domain)
+        bary = (mx / mass, my / mass)
+    xi = tuple(b - t for b, t in zip(bary, inst.target))
+    return criteria.KEVerdict(classify_offset(xi, inst.strict_axes), xi, mass, bary)
 
-        def refuse(self):
-            raise AssertionError("a segment weight was multiplied out")
+
+class TestWeightsStayFactored:
+    """No criterion multiplies a weight out or triangulates a domain: with
+    both refused, every verdict is the one computed without the refusals."""
+
+    def test_no_criterion_expands_or_triangulates(self, monkeypatch):
+        members = [(tag, n, p) for tag in FamilyTag for n in (tag.min_n + 1, 24)
+                   for p in tag.p_values(n)[:2]]
+        blpp = [(6, 3), (9, 4), (24, 7)]
+
+        def verdicts():
+            families.resolve.cache_clear()
+            return ([criteria.ke_classify(resolve_anticanonical(*member)) for member in members],
+                    [criteria.mabuchi(resolve_anticanonical(FamilyTag.QUAD_PT, n)) for n in (5, 24)]
+                    + [criteria.mabuchi(resolve_anticanonical(FamilyTag.BLPP, n, p)) for n, p in blpp],
+                    [criteria.mh_certificate(n, p) for n, p in blpp],
+                    [criteria.coupled_residual(k, criteria.coupled_default_endpoints(k)[0]) for k in (2, 5)])
+
+        expected = verdicts()
+        assert expected[0] == [_expanded_verdict(resolve_anticanonical(*member)) for member in members]
+
+        def refuse(*_):
+            raise AssertionError("a weight was multiplied out or a domain triangulated")
 
         monkeypatch.setattr(FactoredWeight, "expand", refuse)
-        for n, p in members:
-            inst = resolve_anticanonical(FamilyTag.BLPP, n, p)
-            mass, first = expanded[n, p]
-            verdict = criteria.ke_classify(inst)
-            assert (verdict.mass, verdict.barycenter) == (mass, (first / mass,))
-            criteria.mabuchi(inst)
-            assert criteria.mh_certificate(n, p).moment_integral == 0
-        for k in (2, 5):
-            start, _ = criteria.coupled_default_endpoints(k)
-            assert criteria.coupled_residual(k, start) > 0
+        for module in (polytope, quadrature):
+            monkeypatch.setattr(module, "triangulate", refuse)
+        assert verdicts() == expected

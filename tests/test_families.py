@@ -1,13 +1,17 @@
 """Family encodings: anticanonical classes, domains, weights, ampleness."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab.errors import EmptyRegionError, InvalidParameterError, WeightPositivityError
 from kstab.families import (
     FamilyTag,
+    _check_weight_positive,
     anticanonical_divisor,
     blpp_resolve,
     blqq_resolve,
@@ -16,7 +20,7 @@ from kstab.families import (
     resolve,
     resolve_anticanonical,
 )
-from kstab.poly import AffineForm, Poly1, Poly2
+from kstab.poly import AffineForm, FactoredWeight, Poly1, Poly2
 from kstab.polytope import Segment
 
 
@@ -62,8 +66,10 @@ class TestBlppResolve:
             blpp_resolve(4, 2, (2, -1, -1))
 
     def test_weight_positivity_error(self):
-        with pytest.raises(WeightPositivityError):
+        with pytest.raises(WeightPositivityError) as raised:
             blpp_resolve(4, 2, (0, 0, 0))
+        form = AffineForm.of(0, -1)
+        assert str(raised.value) == f"weight factor {form} is not positive on the domain interior"
 
     def test_mirror_symmetry(self):
         for n in range(4, 11):
@@ -277,3 +283,32 @@ class TestInstanceRecord:
             {"constant": "0/1", "linear": ["1/1", "0/1"], "power": 1}
         ]
         assert record["strict_axes"] == [0]
+
+
+_values = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def _weights_and_vertices(draw):
+    nvars = draw(st.integers(1, 2))
+    vertices = draw(st.lists(st.tuples(*[_values] * nvars), min_size=1, max_size=5))
+    factors = [(AffineForm.of(draw(_values), *draw(st.tuples(*[_values] * nvars))), 1)
+               for _ in range(draw(st.integers(1, 3)))]
+    return FactoredWeight.of(1, factors), vertices
+
+
+class TestWeightPositivityCheck:
+    """The check runs in ints; it must refuse exactly what the factor values in Fractions refuse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_weights_and_vertices())
+    def test_matches_fraction_evaluation(self, case):
+        weight, vertices = case
+        bad = next((form for form, _ in weight.factors
+                    if min(form.evaluate(v) for v in vertices) < 0
+                    or max(form.evaluate(v) for v in vertices) <= 0), None)
+        if bad is None:
+            _check_weight_positive(weight, vertices)
+        else:
+            with pytest.raises(WeightPositivityError, match=re.escape(f"weight factor {bad} ")):
+                _check_weight_positive(weight, vertices)

@@ -14,7 +14,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from kstab import cli, criteria
+from kstab import cli, criteria, quadrature
+from kstab.families import FamilyTag, resolve_anticanonical
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,6 +53,7 @@ TINY_RUNS = (
     ["mh", "--n", "4"],
     ["coupled", "--k", "3", "--bisections", "2"],
     ["verify", "--suite", "mh", "--max-n", "7"],
+    ["verify", "--suite", "properties", "--max-n", "7"],
 )
 
 
@@ -67,9 +69,22 @@ def test_traced_tiny_runs_count_every_layer(tmp_path):
         tracer.restore()
     assert codes == [0] * len(TINY_RUNS)
     assert tracer.accounting_errors("cli.main") == []
-    for key in ("poly.expand.terms_out", "quadrature.integrand_terms", "polytope.triangles",
-                "cli.render.bytes"):
-        assert tracer.counts[key] > 0, key
+    # No command multiplies a weight out or integrates a polygon by triangles,
+    # so those two entry points are called once, directly, under a second tracer.
+    inst = resolve_anticanonical(FamilyTag.BLQQ, 9, 4)
+    legacy = spans.Tracer()
+    legacy.install(spans.kstab_targets())
+    try:
+        mass = quadrature.integrate_poly2_polygon(inst.weight.expand(), inst.domain)
+    finally:
+        legacy.restore()
+    assert mass == inst.moments[0]
+    assert [s[spans.NAME] for s in legacy.spans if s[spans.PARENT] < 0] == [
+        "poly.expand", "quadrature.polygon"]
+    for counts, keys in ((tracer.counts, ("polytope.triangles", "cli.render.bytes")),
+                         (legacy.counts, ("poly.expand.terms_out", "quadrature.integrand_terms"))):
+        for key in keys:
+            assert counts[key] > 0, key
     assert tracer.maxima["quadrature.result_bits.max"] > 0
     # verify dispatches through the rebound check names, so its spans are recorded
     assert tracer.summary()["verify.c6"]["calls"] > 0

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kstab import quadrature
@@ -22,6 +22,7 @@ from kstab.quadrature import (
     integrate_poly2_triangle,
     moments,
 )
+from test_halfplane_oracle import _outcome, _small, halfplane_sets
 
 # ---------------------------------------------------------------------------
 # Iterated oracle: integrate in y between edge lines, then in x, using only
@@ -177,10 +178,71 @@ class TestIntegrateFactored:
         assert integrate_factored(inst.weight, inst.domain) == integrate_poly1(
             inst.weight.expand(), inst.domain)
 
-    def test_polygon_expands_and_integrates_by_triangles(self):
+    def test_polygon_edges_equal_expanded_triangles(self):
         inst = resolve_anticanonical(FamilyTag.BLQQ, 9, 4)
         assert integrate_factored(inst.weight, inst.domain) == integrate_poly2_polygon(
             inst.weight.expand(), inst.domain)
+
+
+@st.composite
+def _linear_product_on_polygon(draw):
+    """A random polygon, sometimes with an edge through the origin, and a
+    rational times 1-4 linear forms, each random or vanishing at a vertex."""
+    for _ in range(10):  # about one random set in four is a polygon
+        planes = draw(halfplane_sets())
+        if draw(st.booleans()):
+            planes.append(HalfPlane.of(*draw(st.tuples(_small, _small).filter(any)), 0))
+        polygon = _outcome(polygon_from_halfplanes, planes)
+        if isinstance(polygon, Polygon):
+            break
+    assume(isinstance(polygon, Polygon))
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, y = draw(st.sampled_from(polygon.vertices))
+        k = draw(_small)
+        slopes = (-y * k, x * k) if draw(st.booleans()) else draw(st.tuples(_small, _small))
+        factors.append((AffineForm.of(0, *slopes), draw(st.integers(0, 3))))
+    return FactoredWeight.of(draw(_small), factors), polygon
+
+
+class TestEdgeRoute:
+    """The edge formula on polygons against the expanded weight integrated by triangles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_linear_product_on_polygon())
+    def test_random_linear_products_on_random_polygons(self, case):
+        weight, polygon = case
+        assert integrate_factored(weight, polygon) == integrate_poly2_polygon(weight.expand(), polygon)
+
+    def test_every_family_integral_up_to_forty(self):
+        y = AffineForm.of(0, 0, 1)
+        count = 0
+        for tag in FamilyTag:
+            if tag.dimension != 2:
+                continue
+            for n in range(tag.min_n, 41):
+                for p in tag.p_values(n):
+                    inst = resolve_anticanonical(tag, n, p)
+                    extras = inst._moment_extras
+                    if tag is FamilyTag.QUAD_PT:
+                        extras += [((y, 1),), ((y, 2),)]  # the u-moments of ``mabuchi``
+                    for weight, value in zip(inst._weights(extras), inst.integrals(extras)):
+                        assert value == integrate_poly2_polygon(weight.expand(), inst.domain)
+                        count += 1
+        assert count == 2286
+
+    def test_affine_extras_split_into_linear_pieces(self):
+        inst = resolve_anticanonical(FamilyTag.QUAD_PT, 9)
+        u = AffineForm.of(0, 1, 0)  # x - target, with target = (5, 0)
+        extras = [((u, 1),), ((u, 3), (AffineForm.of(2, 1, -1), 1))]
+        for weight, value in zip(inst._weights(extras), inst.integrals(extras)):
+            assert any(form.constant for form, _ in weight.factors)
+            assert value == integrate_poly2_polygon(weight.expand(), inst.domain)
+
+    def test_affine_factor_on_a_polygon_is_a_contract_breach(self):
+        weight = FactoredWeight.of(1, [(AffineForm.of(0, 1, 0), 2), (AffineForm.of(1, 0, 1), 1)])
+        with pytest.raises(ContractError):
+            integrate_factored(weight, unit_square())
 
 
 def _at(s, start, end):
