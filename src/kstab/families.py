@@ -5,12 +5,12 @@ the only place that describes a family: its parameter domain (whether it
 takes p, its smallest n and its p range), its anticanonical divisor class,
 its moment domain as facets that depend on the divisor, its weight factors,
 the axes on which the barycenter must strictly exceed the target, and its
-ampleness test.  One function, ``_build``, turns a family member and a
-divisor class (``None`` for the anticanonical class) into the quintuple the
-stability criteria consume: a rational moment domain, a factored
-integration weight, a target vector, the strict axes and an ampleness
-verdict.  The target is not stated anywhere: it is 2*rho = sum_j m_j
-grad l_j over the weight factors l_j^m_j, halved on blpp's undoubled t
+ampleness inequalities as integer rows.  One function, ``_build``, turns a
+family member and a divisor class (``None`` for the anticanonical class)
+into the quintuple the stability criteria consume: a rational moment domain,
+a factored integration weight, a target vector, the strict axes and an
+ampleness verdict.  The target is not stated anywhere: it is 2*rho = sum_j
+m_j grad l_j over the weight factors l_j^m_j, halved on blpp's undoubled t
 axis.  Each instance owns its ``integrals``, which take their extra factors
 in u = x - target and alone move them to x, and its ``moments``, integrated
 on first read, or along a segment of classes as polynomials in its
@@ -99,11 +99,11 @@ class FamilyData(NamedTuple):
     ``p_margin`` is 0 for a family without p; otherwise p runs over
     ``p_margin..n-p_margin``.  ``anticanonical(n, p)`` is the divisor of the
     anticanonical class.  The rest take the divisor coefficients as
-    arguments: ``facets(*divisor)`` lists the moment domain's facets,
-    ``weight(n, p, *divisor)`` its weight factors and ``ample(*divisor)``
-    decides ampleness.  ``doubled`` is False for a family stated in
-    undoubled coordinates, whose target is half the sum of the factor
-    gradients.
+    arguments: ``facets(*divisor)`` lists the moment domain's facets and
+    ``weight(n, p, *divisor)`` its weight factors.  A class is ample iff
+    r . divisor > 0 for each row r of ``ample``.  ``doubled`` is False for a
+    family stated in undoubled coordinates, whose target is half the sum of
+    the factor gradients.
     """
 
     min_n: int
@@ -111,7 +111,7 @@ class FamilyData(NamedTuple):
     anticanonical: Callable[[int, int | None], Divisor]
     facets: Callable[..., Sequence[Facet]]
     weight: Callable[..., Sequence[Factor]]
-    ample: Callable[..., bool]
+    ample: tuple[tuple[int, ...], ...]
     strict_axes: tuple[int, ...]
     doubled: bool = True
 
@@ -120,11 +120,13 @@ def _quadric(exceptional: Callable[[int], Divisor], *normals: tuple[int, int]) -
     """A quadric blow-up whose exceptional coefficients e, anticanonically
     ``exceptional(n)``, cut the facets a*x + b*y <= e of ``normals`` off
     the base {x >= 0, |y| <= 2c - x}."""
+    m = len(normals)
     return FamilyData(
         5, 0, lambda n, p: (Fraction(n, 2) - 1, *exceptional(n)),
         lambda c, *es: [((-1, 0), 0), *zip(normals, es), ((1, -1), 2 * c), ((1, 1), 2 * c)],
         lambda n, p, *_: [((0, 1, 0), n - 4)],
-        lambda c, *es: all(0 < e < 2 * c for e in es),
+        tuple((lead, *(sign * (j == i) for j in range(m))) for i in range(m)
+              for lead, sign in ((0, 1), (2, -1))),
         strict_axes=(0,))
 
 
@@ -133,13 +135,13 @@ FAMILY_DATA = {
         4, 2, lambda n, p: (Fraction(n, 2), p + 1 - Fraction(n, 2), Fraction(n, 2) - p + 1),
         lambda c, d_plus, d_minus: [((-1,), d_plus), ((-1,), c), ((1,), d_minus), ((1,), c)],
         lambda n, p, c, *_: [((c, -1), p - 1), ((c, 1), n - p - 1)],
-        lambda c, d_plus, d_minus: d_plus < c and d_minus < c and d_plus + d_minus > 0,
+        ((1, -1, 0), (1, 0, -1), (0, 1, 1)),
         strict_axes=(), doubled=False),
     FamilyTag.BLQQ: FamilyData(
         6, 3, lambda n, p: (Fraction(n, 2) - 1, Fraction(p - 1)),
         lambda c, d: [((-1, 0), 0), ((0, -1), 0), ((1, 0), d), ((1, 1), 2 * c)],
         lambda n, p, *_: [((0, 1, 0), p - 2), ((0, 0, 1), n - p - 2)],
-        lambda *_: True,
+        (),
         strict_axes=(0, 1)),
     FamilyTag.QUAD_E: _quadric(lambda n: (Fraction(n - 3),), (1, 0)),
     FamilyTag.QUAD_PT: _quadric(lambda n: (Fraction(1),), (0, -1)),
@@ -248,9 +250,15 @@ def _as_divisor(values: Sequence[RationalLike], arity: int, family: str) -> Divi
     return tuple(_as_fraction(v) for v in values)
 
 
+def _ample(rows: Sequence[Sequence[int]], divisor: Divisor) -> bool:
+    """r . divisor > 0 for each row r, over one denominator."""
+    coeffs, _ = _over_common_denominator(divisor)
+    return all(sum(map(mul, row, coeffs)) > 0 for row in rows)
+
+
 def blpp_ample(divisor: Sequence[RationalLike]) -> bool:
     """Strict ampleness inequalities for a blpp divisor class."""
-    return FAMILY_DATA[FamilyTag.BLPP].ample(*_as_divisor(divisor, 3, "blpp"))
+    return _ample(FAMILY_DATA[FamilyTag.BLPP].ample, _as_divisor(divisor, 3, "blpp"))
 
 
 def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[RationalLike]]) -> None:
@@ -316,7 +324,7 @@ def _build(tag: FamilyTag, n: int, p: int | None, divisor: Divisor) -> FamilyIns
     target = tuple(scale * sum(mult * form.linear[axis] for form, mult in weight.factors)
                    for axis in range(tag.dimension))
     return FamilyInstance(tag, (n,) if p is None else (n, p), divisor, domain, weight, target,
-                          data.strict_axes, data.ample(*divisor))
+                          data.strict_axes, _ample(data.ample, divisor))
 
 
 def resolve(

@@ -3,19 +3,22 @@
 A polygon keeps both its vertex cycle and its edge halfplanes, and
 ``polygon_from_halfplanes``, its one constructor, builds the two together.
 
-The exact kernels run in Python ints.  A halfplane is kept as coprime
-integers (a, b, c), so vertex enumeration is homogeneous: two boundary lines
-meet in the integer triple (X, Y, D) with D > 0 and gcd(X, Y, D) = 1, which
-is unique for the point (X/D, Y/D) and so deduplicates exactly, and the
-point satisfies a halfplane when a*X + b*Y <= c*D.  Enumerating every pair
-and filtering is quadratic in the constraint count, which is entirely
-adequate for the handful of constraints this package ever sees.  The hull
-of the feasible triples is taken in integers too, with the 3x3 determinant
-as the orientation test, and each of its edges takes the input plane that
-is tight at both ends as its halfplane; the result is strictly convex by
-construction and is not re-validated.  Only the hull vertices become
-Fractions.  ``triangulate`` fans the hull into plain vertex triples, none
-of them degenerate because no three hull vertices are collinear.
+The exact kernels run in Python ints.  ``HalfPlane.of`` keeps a halfplane
+as coprime integers (a, b, c), so vertex enumeration is homogeneous: two
+boundary lines meet in the integer triple (X, Y, D) with D > 0 and
+gcd(X, Y, D) = 1, unique for the point (X/D, Y/D), which satisfies a
+halfplane when a*X + b*Y <= c*D.  Every pair is enumerated, quadratic in
+the handful of constraints this package sees, and each corner keeps the set
+of planes through it.  The hull of the feasible triples is taken in
+integers too, with the 3x3 determinant as the orientation test, and each
+edge takes the first plane through both its ends as its halfplane.  If the
+hull has three or more vertices and every edge has such a plane, the region
+lies in every edge halfplane, so it is the hull; every bounded region
+passes, as each vertex lies on both its edge planes.  The result is
+strictly convex by construction and is not re-validated.  Only the hull
+vertices become Fractions.  ``triangulate`` fans the hull into plain vertex
+triples, none of them degenerate because no three hull vertices are
+collinear.
 
 Degenerate inputs are rejected loudly: an empty, unbounded, or
 lower-dimensional intersection raises a dedicated error rather than
@@ -25,7 +28,7 @@ producing a zero-mass region, because every caller divides by the mass.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -63,31 +66,33 @@ class Segment(NamedTuple):
         return self.lo <= _as_fraction(t) <= self.hi
 
 
-def _coprime(a: RationalLike, b: RationalLike, c: RationalLike) -> tuple[int, int, int]:
-    """The plane a*x + b*y <= c, in any scale, as coprime integers: the one
-    canonical form, which ``HalfPlane.of`` keeps as Fractions.  A zero normal
-    raises InvalidParameterError."""
-    (ia, ib, ic), _ = _over_common_denominator([_as_fraction(v) for v in (a, b, c)])
-    if ia == 0 and ib == 0:
-        raise InvalidParameterError("halfplane normal must be nonzero")
-    g = gcd(ia, ib, ic)
-    return ia // g, ib // g, ic // g
+def _over_one_denominator(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """``_over_common_denominator`` that refuses all but ints and Fractions, as ``_as_fraction`` does."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            _as_fraction(v)
+    return _over_common_denominator(values)
 
 
 class HalfPlane(NamedTuple):
     """Constraint a*x + b*y <= c with (a, b) != (0, 0).
 
-    Stored in canonical integer form: a, b, c are coprime integers, so
-    equal constraints compare equal regardless of how they were scaled.
+    ``of`` stores it as coprime integers a, b, c, so equal constraints
+    compare equal regardless of how they were scaled.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int
+    b: int
+    c: int
 
     @staticmethod
     def of(a: RationalLike, b: RationalLike, c: RationalLike) -> "HalfPlane":
-        return HalfPlane(*map(Fraction, _coprime(a, b, c)))
+        """The one canonical form, in any scale; a zero normal raises InvalidParameterError."""
+        (ia, ib, ic), _ = _over_one_denominator((a, b, c))
+        if ia == 0 and ib == 0:
+            raise InvalidParameterError("halfplane normal must be nonzero")
+        g = gcd(ia, ib, ic)
+        return HalfPlane(ia // g, ib // g, ic // g)
 
     def slack(self, point: Sequence[RationalLike]) -> Fraction:
         """c - (a*x + b*y); nonnegative exactly on the halfplane."""
@@ -117,7 +122,8 @@ class Polygon(NamedTuple):
     halfplanes: tuple[HalfPlane, ...]
 
     def contains(self, point: Sequence[RationalLike]) -> bool:
-        return all(hp.slack(point) >= 0 for hp in self.halfplanes)
+        (x, y), d = _over_one_denominator(point)
+        return all(a * x + b * y <= c * d for a, b, c in self.halfplanes)
 
 
 def _orientation(p: Triple, q: Triple, r: Triple) -> int:
@@ -153,22 +159,22 @@ def polygon_from_halfplanes(halfplanes: Iterable[Sequence[RationalLike]]) -> Pol
     """Intersect halfplanes into a polygon by pairwise vertex enumeration.
 
     Each plane, a ``HalfPlane`` or any (a, b, c), is first made canonical by
-    ``_coprime``, as ``HalfPlane.of`` makes it, which raises
-    InvalidParameterError for a zero normal; so planes that describe the same
-    region give the same polygon, however they were scaled.  Raises EmptyRegionError, UnboundedRegionError or
+    ``HalfPlane.of``, which raises InvalidParameterError for a zero normal; so
+    planes that describe the same region give the same polygon, however they
+    were scaled.  Raises EmptyRegionError, UnboundedRegionError or
     DegenerateRegionError, with distinct error codes, when the intersection is
     not a full-dimensional bounded polygon.
     """
-    rows = [_coprime(*plane) for plane in halfplanes]
+    rows = [HalfPlane.of(*plane) for plane in halfplanes]
     if not rows:
         raise UnboundedRegionError("no constraints: the whole plane is unbounded")
     a0, b0, _ = rows[0]
     if all(a0 * b - b0 * a == 0 for a, b, _ in rows[1:]):
         _classify_parallel_strip(rows)
 
-    corners: set[Triple] = set()
+    corners: dict[Triple, set[int]] = {}
     for i, (a1, b1, c1) in enumerate(rows):
-        for a2, b2, c2 in rows[i + 1:]:
+        for j, (a2, b2, c2) in enumerate(rows[i + 1:], i + 1):
             det = a1 * b2 - b1 * a2
             if det == 0:
                 continue
@@ -176,35 +182,28 @@ def polygon_from_halfplanes(halfplanes: Iterable[Sequence[RationalLike]]) -> Pol
             if det < 0:
                 x, y, det = -x, -y, -det
             g = gcd(x, y, det)
-            corners.add((x // g, y // g, det // g))
+            corners.setdefault((x // g, y // g, det // g), set()).update((i, j))
     feasible = [(x, y, d) for x, y, d in corners if all(a * x + b * y <= c * d for a, b, c in rows)]
     if not feasible:
         # Normals are not all parallel, so a nonempty region would have a vertex.
         raise EmptyRegionError("halfplane intersection is empty")
 
-    for a, b, _ in rows:
-        for dx, dy in ((-b, a), (b, -a)):
-            if all(na * dx + nb * dy <= 0 for na, nb, _ in rows):
-                direction = (Fraction(dx), Fraction(dy))
-                raise UnboundedRegionError(
-                    f"halfplane intersection is unbounded in direction {direction}"
-                )
-
-    points = {t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])) for t in feasible}
-    hull = _convex_hull(sorted(feasible, key=points.__getitem__))
-    if len(hull) < 3:
+    den = lcm(*(d for _, _, d in feasible))
+    hull = _convex_hull(sorted(feasible, key=lambda t: (t[0] * (den // t[2]), t[1] * (den // t[2]))))
+    edges = [min(corners[p] & corners[q], default=None) for p, q in zip(hull, hull[1:] + hull[:1])]
+    if len(hull) < 3 or None in edges:
+        # Unbounded, the region recedes along a boundary line, as the normals are not all parallel.
+        for a, b, _ in rows:
+            for dx, dy in ((-b, a), (b, -a)):
+                if all(na * dx + nb * dy <= 0 for na, nb, _ in rows):
+                    raise UnboundedRegionError("halfplane intersection is unbounded in direction "
+                                               f"{(Fraction(dx), Fraction(dy))}")
         raise DegenerateRegionError("halfplane intersection is not full-dimensional")
-    # Each hull edge lies on an input plane tight at both of its ends; that
-    # plane is coprime and outward already, so it is the edge's halfplane.
-    edges = []
-    for (x1, y1, d1), (x2, y2, d2) in zip(hull, hull[1:] + hull[:1]):
-        edge = next((a, b, c) for a, b, c in rows
-                    if a * x1 + b * y1 == c * d1 and a * x2 + b * y2 == c * d2)
-        edges.append(HalfPlane(*map(Fraction, edge)))
-    return Polygon(tuple(points[t] for t in hull), tuple(edges))
+    return Polygon(tuple((Fraction(x, d), Fraction(y, d)) for x, y, d in hull),
+                   tuple(rows[i] for i in edges))
 
 
-def _classify_parallel_strip(rows: list[tuple[int, int, int]]) -> None:
+def _classify_parallel_strip(rows: list[HalfPlane]) -> None:
     """All normals parallel: the region is empty or contains a line.
 
     Along the first normal u, a plane with normal lam * u bounds u.x by

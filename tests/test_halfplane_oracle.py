@@ -79,7 +79,7 @@ def _ref_parallel_strip(planes):
 
 
 def reference_polygon_from_halfplanes(planes) -> Polygon:
-    planes = list(planes)
+    planes = [HalfPlane(*map(F, hp)) for hp in planes]
     if not planes:
         raise UnboundedRegionError("no constraints: the whole plane is unbounded")
     normals = [(hp.a, hp.b) for hp in planes]
@@ -196,6 +196,15 @@ CASES = {
     "empty wedge": (_planes((-1, 0, -1), (0, -1, -1), (1, 1, 1)), EmptyRegionError),
     "line strip": (_planes((0, 1, 1), (0, -2, 3)), UnboundedRegionError),
     "ray": (_planes((-1, 0, 0), (0, -1, 0), (1, -1, 3)), UnboundedRegionError),
+    # three feasible corners span a triangle, but its long side lies on no plane
+    "unbounded over a triangle": (_planes((-1, 0, 0), (0, -1, 0), (-1, -2, -2), (-2, -1, -2)),
+                                  UnboundedRegionError),
+    # as given, not canonical: the reference's edge comes from its vertices
+    "edge plane at two scales": ([(F(1, 2), 0, F(1, 2)), *UNIT_SQUARE, (3, 0, 3)], None),
+    # x >= 0 is tight only at the origin, where y >= 0 and y <= x meet too
+    "three planes through a vertex": (_planes((-1, 0, 0), (0, -1, 0), (-1, 1, 0), (1, 1, 2)), None),
+    "edge plane with Fraction fields": (_planes((-1, 0, 0), (0, -1, 0), (0, 1, 1))
+                                        + [HalfPlane(F(1, 2), F(0), F(1))], None),
     "segment": (_planes((1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 0)), DegenerateRegionError),
     "point": (_planes((1, 0, 0), (0, 1, 0), (-1, -1, 0)), DegenerateRegionError),
 }

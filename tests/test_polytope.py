@@ -12,6 +12,7 @@ from kstab.errors import (
     InvalidParameterError,
     UnboundedRegionError,
 )
+from kstab import polytope
 from kstab.families import FamilyTag, resolve_anticanonical
 from kstab.polytope import (
     HalfPlane,
@@ -240,23 +241,72 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError, match="halfplane normal must be nonzero"):
             polygon_from_halfplanes(UNIT_SQUARE + [zero])
 
+    def test_halfplane_keeps_coprime_ints(self):
+        hp = HalfPlane.of(F(-3, 2), F(9, 4), 6)
+        assert hp == (-2, 3, 8) and all(type(v) is int for v in hp)
+        assert all(type(v) is int for v in HalfPlane.of(-4, 6, 16))
 
-_coord = st.fractions(min_value=-50, max_value=50, max_denominator=60)
-_point = st.tuples(_coord, _coord)
+    @pytest.mark.parametrize("value, name", [(0.5, "float"), ("1", "str"), (None, "NoneType")])
+    def test_halfplane_refuses_other_numbers(self, value, name):
+        for args in ((value, 1, 1), (1, value, 1), (1, 1, value)):
+            with pytest.raises(InvalidParameterError, match=f"^expected an int or Fraction, got {name}$"):
+                HalfPlane.of(*args)
+        with pytest.raises(InvalidParameterError, match=f"^expected an int or Fraction, got {name}$"):
+            polygon_from_halfplanes(UNIT_TRIANGLE).contains((0, value))
 
 
-class TestCross:
-    """The integer orientation test against the plain Fraction formula."""
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """Every argument tuple that ``kstab.polytope`` builds a Fraction from,
+    while a counting stand-in replaces its ``Fraction`` (instance checks
+    still see real Fractions)."""
+    built = []
 
-    @settings(max_examples=300, deadline=None)
-    @given(_point, _point, _point)
-    def test_matches_fraction_formula(self, o, p, q):
-        expected = (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-        got = _cross(o, p, q)
-        assert type(got) is F and got == expected
+    class Counting(type(F)):
+        def __call__(cls, *args):
+            built.append(args)
+            return F(*args)
 
-    def test_collinear_and_turns(self):
-        o, p = (F(1, 3), F(1, 2)), (F(4, 3), F(3, 2))
-        assert _cross(o, p, (F(7, 3), F(5, 2))) == 0
-        assert _cross(o, p, (F(0), F(2))) == F(11, 6)
-        assert _cross(p, o, (F(0), F(2))) == F(-11, 6)
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, F)
+
+    monkeypatch.setattr(polytope, "Fraction", Counting("Fraction", (), {}))
+    return built
+
+
+# vertices (2, 0), (4, 1), (4, 3), (2, 4), (0, 3), (0, 1), with a duplicate
+# edge plane at another scale and a redundant plane through a vertex
+HEXAGON = ((1, -2, 2), (1, 0, 4), (1, 2, 10), (-1, 2, 6), (-1, 0, 0), (-1, -2, -2),
+           (3, 0, 12), (1, 1, 7))
+
+
+class _Inert(F):
+    """A Fraction that refuses arithmetic and comparison."""
+
+    def _refuse(self, *_):
+        raise AssertionError("Fraction arithmetic")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+class TestFractionCount:
+    @pytest.mark.parametrize("planes", [
+        HEXAGON,
+        [tuple(4 * v for v in row) for row in HEXAGON],
+        [tuple(F(v, 3) for v in row) for row in HEXAGON],
+        [HalfPlane(*(F(5 * v, 7) for v in row)) for row in HEXAGON],  # built directly, not coprime
+    ])
+    def test_two_per_hull_vertex(self, fractions_built, planes):
+        assert len(polygon_from_halfplanes(planes).vertices) == 6
+        assert len(fractions_built) == 2 * 6
+
+    def test_contains_builds_none(self, fractions_built):
+        hexagon = polygon_from_halfplanes(_planes(*HEXAGON))
+        del fractions_built[:]
+        # inside, a vertex, an edge point, and just outside two edges
+        points = [(2, 2), (4, 3), (0, F(5, 4)), (F(7, 2), F(1, 3)), (F(9, 2), 2)]
+        assert [hexagon.contains(pt) for pt in points] == [True, True, True, False, False]
+        assert fractions_built == []
+        # nor does Fraction arithmetic, which would build its results in ``fractions``
+        assert [hexagon.contains(tuple(map(_Inert, pt))) for pt in points] == [True, True, True, False, False]

@@ -245,6 +245,55 @@ class TestEdgeRoute:
             integrate_factored(weight, unit_square())
 
 
+# Generators of GL(2, Z) with their inverses: shears, the swap and negations.
+_SWAP = ((0, 1), (1, 0))
+_NEGATIONS = (((-1, 0), (0, 1)), ((1, 0), (0, -1)))
+
+
+def _times_matrix(m, n):
+    return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
+@st.composite
+def _unimodular(draw):
+    """An integer matrix A with det +-1 and its inverse, as a product of generators."""
+    a = a_inv = ((1, 0), (0, 1))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("upper", "lower", "swap", "negation")))
+        t = draw(st.integers(-3, 3))
+        if kind == "upper":
+            g, g_inv = ((1, t), (0, 1)), ((1, -t), (0, 1))
+        elif kind == "lower":
+            g, g_inv = ((1, 0), (t, 1)), ((1, 0), (-t, 1))
+        else:
+            g = g_inv = _SWAP if kind == "swap" else draw(st.sampled_from(_NEGATIONS))
+        a, a_inv = _times_matrix(g, a), _times_matrix(a_inv, g_inv)
+    assert _times_matrix(a, a_inv) == ((1, 0), (0, 1))
+    return a, a_inv
+
+
+class TestUnimodularInvariance:
+    """An integer map A with det +-1 keeps areas, so the integral of w over P
+    equals that of w o A^-1 over A P, whose planes are (a, b) A^-1 <= c.  A
+    fault that is the same along each line, which chord splits cannot see,
+    changes one side of this equation and not the other."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_linear_product_on_polygon(), matrix=_unimodular())
+    def test_integral_is_invariant(self, case, matrix):
+        weight, polygon = case
+        _, a_inv = matrix
+
+        def pulled_back(row):  # the row vector (u, v) times A^-1
+            return tuple(row[0] * a_inv[0][j] + row[1] * a_inv[1][j] for j in range(2))
+
+        image = polygon_from_halfplanes([(*pulled_back((hp.a, hp.b)), hp.c) for hp in polygon.halfplanes])
+        moved = FactoredWeight.of(weight.prefactor, [(AffineForm.of(0, *pulled_back(form.linear)), mult)
+                                                     for form, mult in weight.factors])
+        assert len(image.vertices) == len(polygon.vertices)
+        assert integrate_factored(moved, image) == integrate_factored(weight, polygon)
+
+
 def _at(s, start, end):
     return start + s * (end - start)
 
