@@ -255,6 +255,27 @@ class TestConstruction:
             polygon_from_halfplanes(UNIT_TRIANGLE).contains((0, value))
 
 
+_coord = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_point = st.tuples(_coord, _coord)
+
+
+class TestCross:
+    """The integer orientation test against the plain Fraction formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_point, _point, _point)
+    def test_matches_fraction_formula(self, o, p, q):
+        expected = (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+        got = _cross(o, p, q)
+        assert type(got) is F and got == expected
+
+    def test_collinear_and_turns(self):
+        o, p = (F(1, 3), F(1, 2)), (F(4, 3), F(3, 2))
+        assert _cross(o, p, (F(7, 3), F(5, 2))) == 0
+        assert _cross(o, p, (F(0), F(2))) == F(11, 6)
+        assert _cross(p, o, (F(0), F(2))) == F(-11, 6)
+
+
 @pytest.fixture
 def fractions_built(monkeypatch):
     """Every argument tuple that ``kstab.polytope`` builds a Fraction from,
