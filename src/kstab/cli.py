@@ -17,7 +17,6 @@ The reason of each error or no-bracket row goes to stderr, one line a row.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -132,7 +131,6 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@functools.cache  # once per process: parse_spec runs for every render, verify's included
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kstab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -140,7 +138,7 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--jobs", default=None,
+        p.add_argument("--jobs", default=_available_cpus(),
                        help="most workers a sweep may use once its rows left would take "
                             f"{SERIAL_BUDGET_S} s serially (default: the available parallelism)")
 
@@ -301,12 +299,11 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
         tasks = _coupled_tasks(ns)
     else:
         tasks = _member_tasks(ns, tag)
-    jobs = _available_cpus() if ns.jobs is None else ns.jobs
-    if jobs < 1:
+    if ns.jobs < 1:
         raise SpecError("field --jobs: must be at least 1")
     return RunSpec(command=ns.command, tasks=tasks, suite=getattr(ns, "suite", "all"),
                    max_n=getattr(ns, "max_n", 40), member=member, fmt=ns.format, out=ns.out,
-                   jobs=jobs)
+                   jobs=ns.jobs)
 
 
 # ---------------------------------------------------------------------------

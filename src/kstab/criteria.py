@@ -23,7 +23,6 @@ from .errors import (
     NotAnticanonicalError,
 )
 from .families import (
-    FAMILY_DATA,
     Divisor,
     FamilyInstance,
     FamilyTag,
@@ -351,25 +350,6 @@ def _coupled_residual_along(k: int, start: Divisor, end: Divisor) -> tuple[list[
     return num, [target.denominator * m for m in masses + [0]]
 
 
-def _coupled_ample_interval(k: int, start: Divisor, end: Divisor) -> tuple[Fraction | float, Fraction | float]:
-    """Open bounds lo < s < hi, with lo >= hi when no s qualifies, on the s
-    where d(s) = start + s (end - start) and its complement A - d(s) are both
-    ample: each blpp ampleness row r makes r . d(s) and r . (A - d(s)) affine in s."""
-    lo, hi = -math.inf, math.inf
-    anticanonical = _coupled_anticanonical(k)
-    for row in FAMILY_DATA[FamilyTag.BLPP].ample:
-        at_start, at_end, whole = (sum(r * v for r, v in zip(row, d)) for d in (start, end, anticanonical))
-        for alpha, beta in ((at_start, at_end - at_start), (whole - at_start, at_start - at_end)):
-            # alpha + beta s > 0
-            if beta > 0:
-                lo = max(lo, -alpha / beta)
-            elif beta < 0:
-                hi = min(hi, -alpha / beta)
-            elif alpha <= 0:
-                hi = -math.inf
-    return lo, hi
-
-
 def _homogeneous(coeffs: Sequence[int], s: Fraction) -> int:
     """q^deg P(a/q) for s = a/q and P of these coefficients, constant first."""
     value, q_pow = 0, 1
@@ -392,11 +372,9 @@ def coupled_search(
 
     Requires strictly opposite residual signs at the endpoints and an
     ample pair at both (the ample region is an intersection of open linear
-    conditions, hence convex, so the whole segment is then ample; this is
-    still re-asserted at every evaluated point, against the s-interval that
-    the conditions cut out of the segment).  Bisection runs until the
-    bracket width, in units of the segment parameter, is at most
-    2^(-max_bisections).
+    conditions, hence convex, so the whole segment is then ample and no
+    probe checks it again).  Bisection runs until the bracket width, in
+    units of the segment parameter, is at most 2^(-max_bisections).
 
     The residual is built once, as N(s)/D(s) from the four members at the
     two ends; a probe reads only the sign of N(s) D(s), in ints, and only
@@ -416,11 +394,8 @@ def coupled_search(
         if not coupled_pair_ample(k, params_at(s)):
             raise ContractError(f"segment leaves the ample region at parameter {s}")
     num, den = _coupled_residual_along(k, start_d, end_d)
-    ample_lo, ample_hi = _coupled_ample_interval(k, start_d, end_d)
 
     def residual_at(s: Fraction) -> tuple[int, int]:
-        if not ample_lo < s < ample_hi:
-            raise ContractError(f"segment leaves the ample region at parameter {s}")
         return _homogeneous(num, s), _homogeneous(den, s)
 
     def sign_at(s: Fraction) -> int:

@@ -115,18 +115,20 @@ class FamilyData(NamedTuple):
     strict_axes: tuple[int, ...]
     doubled: bool = True
 
+    def is_ample(self, divisor: Divisor) -> bool:
+        return all(sum(map(mul, row, divisor)) > 0 for row in self.ample)
 
-def _quadric(exceptional: Callable[[int], Divisor], *normals: tuple[int, int]) -> FamilyData:
+
+def _quadric(exceptional: Callable[[int], Divisor], ample: tuple[tuple[int, ...], ...],
+            *normals: tuple[int, int]) -> FamilyData:
     """A quadric blow-up whose exceptional coefficients e, anticanonically
     ``exceptional(n)``, cut the facets a*x + b*y <= e of ``normals`` off
-    the base {x >= 0, |y| <= 2c - x}."""
-    m = len(normals)
+    the base {x >= 0, |y| <= 2c - x}; ``ample`` states 0 < e < 2c for each e."""
     return FamilyData(
         5, 0, lambda n, p: (Fraction(n, 2) - 1, *exceptional(n)),
         lambda c, *es: [((-1, 0), 0), *zip(normals, es), ((1, -1), 2 * c), ((1, 1), 2 * c)],
         lambda n, p, *_: [((0, 1, 0), n - 4)],
-        tuple((lead, *(sign * (j == i) for j in range(m))) for i in range(m)
-              for lead, sign in ((0, 1), (2, -1))),
+        ample,
         strict_axes=(0,))
 
 
@@ -143,9 +145,10 @@ FAMILY_DATA = {
         lambda n, p, *_: [((0, 1, 0), p - 2), ((0, 0, 1), n - p - 2)],
         (),
         strict_axes=(0, 1)),
-    FamilyTag.QUAD_E: _quadric(lambda n: (Fraction(n - 3),), (1, 0)),
-    FamilyTag.QUAD_PT: _quadric(lambda n: (Fraction(1),), (0, -1)),
-    FamilyTag.QUAD_PM: _quadric(lambda n: (Fraction(1), Fraction(1)), (0, -1), (0, 1)),
+    FamilyTag.QUAD_E: _quadric(lambda n: (Fraction(n - 3),), ((0, 1), (2, -1)), (1, 0)),
+    FamilyTag.QUAD_PT: _quadric(lambda n: (Fraction(1),), ((0, 1), (2, -1)), (0, -1)),
+    FamilyTag.QUAD_PM: _quadric(lambda n: (Fraction(1), Fraction(1)),
+                                ((0, 1, 0), (2, -1, 0), (0, 0, 1), (2, 0, -1)), (0, -1), (0, 1)),
 }
 
 
@@ -250,15 +253,9 @@ def _as_divisor(values: Sequence[RationalLike], arity: int, family: str) -> Divi
     return tuple(_as_fraction(v) for v in values)
 
 
-def _ample(rows: Sequence[Sequence[int]], divisor: Divisor) -> bool:
-    """r . divisor > 0 for each row r, over one denominator."""
-    coeffs, _ = _over_common_denominator(divisor)
-    return all(sum(map(mul, row, coeffs)) > 0 for row in rows)
-
-
 def blpp_ample(divisor: Sequence[RationalLike]) -> bool:
     """Strict ampleness inequalities for a blpp divisor class."""
-    return _ample(FAMILY_DATA[FamilyTag.BLPP].ample, _as_divisor(divisor, 3, "blpp"))
+    return FAMILY_DATA[FamilyTag.BLPP].is_ample(_as_divisor(divisor, 3, "blpp"))
 
 
 def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[RationalLike]]) -> None:
@@ -324,7 +321,7 @@ def _build(tag: FamilyTag, n: int, p: int | None, divisor: Divisor) -> FamilyIns
     target = tuple(scale * sum(mult * form.linear[axis] for form, mult in weight.factors)
                    for axis in range(tag.dimension))
     return FamilyInstance(tag, (n,) if p is None else (n, p), divisor, domain, weight, target,
-                          data.strict_axes, _ample(data.ample, divisor))
+                          data.strict_axes, data.is_ample(divisor))
 
 
 def resolve(

@@ -169,51 +169,3 @@ class TestSearchEqualsReference:
         start = start or default_start
         end = start if end == "start" else end or default_end
         _assert_same(k, start, end, 40)
-
-
-# ---------------------------------------------------------------------------
-# The ample s-interval, solved once per segment from the ampleness rows
-# ---------------------------------------------------------------------------
-
-
-def _inside(k, start, end, s):
-    lo, hi = criteria._coupled_ample_interval(k, start, end)
-    return lo < s < hi
-
-
-_coefficient = st.builds(F, st.integers(-40, 40), st.integers(1, 8))
-
-
-class TestAmpleInterval:
-    @pytest.mark.parametrize("k", range(3, 41))
-    def test_every_probe_of_the_default_search(self, k, monkeypatch):
-        start, end = criteria.coupled_default_endpoints(k)
-        probes = set()
-        homogeneous = criteria._homogeneous
-
-        def recording(coeffs, s):
-            probes.add(s)
-            return homogeneous(coeffs, s)
-
-        monkeypatch.setattr(criteria, "_homogeneous", recording)
-        try:
-            criteria.coupled_search(k, start, end, 40)
-        except NoBracketError:
-            assert k == 3
-        assert len(probes) >= (2 if k == 3 else 42)  # both ends, then a probe per bisection
-        for s in probes:
-            divisor = tuple(a + s * (b - a) for a, b in zip(start, end))
-            assert _inside(k, start, end, s) == criteria.coupled_pair_ample(k, divisor) is True
-
-    @settings(max_examples=300, deadline=None)
-    @given(k=st.integers(2, 12), start=st.tuples(_coefficient, _coefficient, _coefficient),
-           end=st.tuples(_coefficient, _coefficient, _coefficient),
-           s=st.one_of(st.sampled_from([F(0), F(1, 2), F(1)]), _parameter()))
-    # d_plus + d_minus, 1/2 at s = 0, is 0 at s = 1/2
-    @example(k=4, start=(F(2), F(1, 4), F(1, 4)), end=(F(2), F(-1, 4), F(-1, 4)), s=F(1, 2))
-    @example(k=4, start=(F(2), F(1, 4), F(1, 4)), end=(F(2), F(-1, 4), F(-1, 4)), s=F(1, 3))
-    # a constant segment on the boundary c = d_plus
-    @example(k=4, start=(F(1), F(1), F(1)), end=(F(1), F(1), F(1)), s=F(1, 2))
-    def test_agrees_with_the_pair_test(self, k, start, end, s):
-        divisor = tuple(a + s * (b - a) for a, b in zip(start, end))
-        assert _inside(k, start, end, s) == criteria.coupled_pair_ample(k, divisor)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kstab.errors import EmptyRegionError, InvalidParameterError, WeightPositivityError
 from kstab.families import (
+    FAMILY_DATA,
     FamilyTag,
     _check_weight_positive,
     anticanonical_divisor,
@@ -312,3 +313,26 @@ class TestWeightPositivityCheck:
         else:
             with pytest.raises(WeightPositivityError, match=re.escape(f"weight factor {bad} ")):
                 _check_weight_positive(weight, vertices)
+
+
+_coefficients = st.lists(st.fractions(F(-5), F(5), max_denominator=6), min_size=3, max_size=3)
+
+
+class TestAmplenessRows:
+    """Each family's rows state the inequalities of the module docstring."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=_coefficients)
+    def test_blpp(self, d):
+        c, d_plus, d_minus = d
+        assert FAMILY_DATA[FamilyTag.BLPP].is_ample(d) == (d_plus < c and d_minus < c and d_plus + d_minus > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tag=st.sampled_from([FamilyTag.QUAD_E, FamilyTag.QUAD_PT, FamilyTag.QUAD_PM]), d=_coefficients)
+    def test_quadric_blowups(self, tag, d):
+        c, *es = d[:len(anticanonical_divisor(tag, 6))]
+        assert FAMILY_DATA[tag].is_ample((c, *es)) == all(0 < e < 2 * c for e in es)
+
+    def test_blqq_has_no_rows(self):
+        assert FAMILY_DATA[FamilyTag.BLQQ].ample == ()
+        assert FAMILY_DATA[FamilyTag.BLQQ].is_ample(anticanonical_divisor(FamilyTag.BLQQ, 8, 4))
