@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from . import criteria
 from .errors import InvalidParameterError, KstabError, NoBracketError
-from .families import FamilyTag, instance_record, resolve
+from .families import FAMILY_DATA, FamilyTag, instance_record, resolve
 from .poly import _excerpt, rational_from_str, rational_to_str
 from .suites import SUITE_CRITERIA
 
@@ -265,8 +265,8 @@ def _dump_member(ns: argparse.Namespace, tag: FamilyTag) -> tuple:
         raise SpecError("field --p: required for this family")
     divisor = None
     if ns.divisor is not None:
-        if tag is FamilyTag.BLQQ:
-            raise SpecError("field --divisor: blqq exposes only the anticanonical divisor")
+        if not FAMILY_DATA[tag].ample:
+            raise SpecError(f"field --divisor: {tag.value} exposes only the anticanonical divisor")
         divisor = _parse_divisor(ns.divisor, "--divisor")
     return tag, ns.n, ns.p, divisor
 

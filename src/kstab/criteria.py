@@ -26,13 +26,14 @@ from .families import (
     Divisor,
     FamilyInstance,
     FamilyTag,
+    _as_divisor,
     anticanonical_divisor,
     blpp_ample,
     blpp_resolve,
     check_params,
     resolve_anticanonical,
 )
-from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, _times
+from .poly import AffineForm, FactoredWeight, RationalLike, _times
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +289,7 @@ def _coupled_anticanonical(k: int) -> Divisor:
 
 def coupled_complement(k: int, divisor: Sequence[RationalLike]) -> Divisor:
     """The divisor completing the given one to the anticanonical class."""
-    return tuple(a - _as_fraction(v)
-                 for a, v in zip(_coupled_anticanonical(k), divisor, strict=True))
+    return tuple(a - v for a, v in zip(_coupled_anticanonical(k), _as_divisor(divisor, 3, "blpp")))
 
 
 def coupled_pair_ample(k: int, divisor: Sequence[RationalLike]) -> bool:
@@ -305,8 +305,9 @@ def coupled_residual(k: int, divisor: Sequence[RationalLike]) -> Fraction:
     of the two weight barycenters of a divisor and its complement must equal
     the target, 1/2 for every class, for a coupled pair to exist; this
     returns the exact excess.  It is the direct reference for the residual
-    that ``coupled_search`` builds once along its segment.  Each call is a
-    new divisor class, so neither member is kept in a memo.
+    that ``coupled_search`` builds once along its segment.  Both members go
+    through the memo of ``resolve``, so a class that a search built at an
+    end is not built again.
     """
     _check_coupled_k(k)
     n, p = 2 * k + 1, k
@@ -377,14 +378,14 @@ def coupled_search(
     units of the segment parameter, is at most 2^(-max_bisections).
 
     The residual is built once, as N(s)/D(s) from the four members at the
-    two ends; a probe reads only the sign of N(s) D(s), in ints, and only
-    the three reported residuals are Fractions.
+    two ends; since D(s) > 0 on the ample segment, a probe reads only the
+    sign of N(s), in ints, and only the three reported residuals are
+    Fractions.
     """
     _check_coupled_k(k)
     if max_bisections < 0:
         raise InvalidParameterError("max_bisections must be nonnegative")
-    start_d = tuple(_as_fraction(v) for v in start)
-    end_d = tuple(_as_fraction(v) for v in end)
+    start_d, end_d = _as_divisor(start, 3, "blpp"), _as_divisor(end, 3, "blpp")
 
     def params_at(s: Fraction) -> Divisor:
         return tuple(a + s * (b - a) for a, b in zip(start_d, end_d))
@@ -399,7 +400,8 @@ def coupled_search(
         return _homogeneous(num, s), _homogeneous(den, s)
 
     def sign_at(s: Fraction) -> int:
-        return math.prod((v > 0) - (v < 0) for v in residual_at(s))
+        value = _homogeneous(num, s)
+        return (value > 0) - (value < 0)
 
     sign_lo, sign_hi = sign_at(lo), sign_at(hi)
     if sign_lo * sign_hi >= 0:

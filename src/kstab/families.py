@@ -14,7 +14,8 @@ m_j grad l_j over the weight factors l_j^m_j, halved on blpp's undoubled t
 axis.  Each instance owns its ``integrals``, which take their extra factors
 in u = x - target and alone move them to x, and its ``moments``, integrated
 on first read, or along a segment of classes as polynomials in its
-parameter; ``resolve``'s memo by value is the package's only memo.
+parameter.  Every member is built through ``resolve``'s memo by value, the
+package's only memo, the per-family entry points included.
 
 Families and their divisor coordinates:
 
@@ -26,9 +27,9 @@ Families and their divisor coordinates:
   d_plus + d_minus > 0.  2 <= p <= n-2.
 * ``blqq``   : a quadric blown up along a linear subquadric of codimension
   at least three; 3 <= p <= n-3.  Divisor = (c, d), domain
-  {x >= 0, y >= 0, x <= d, x + y <= 2c}, weight x^(p-2) y^(n-p-2).  Only
-  the anticanonical class is exposed (no ampleness inequalities are known
-  to us for general classes here).
+  {x >= 0, y >= 0, x <= d, x + y <= 2c}, weight x^(p-2) y^(n-p-2).  It has
+  no ampleness rows (none are known to us for general classes here), so
+  only its anticanonical class is exposed.
 * ``quade``, ``quadpt``, ``quadpm`` : a quadric (n >= 5) blown up along the
   codimension-two subquadric, at one point, or at an antipodal point pair.
   Divisor = (c, e...): the boundary-pair coefficient, then one exceptional
@@ -48,7 +49,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
 from operator import mul
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -101,7 +101,8 @@ class FamilyData(NamedTuple):
     anticanonical class.  The rest take the divisor coefficients as
     arguments: ``facets(*divisor)`` lists the moment domain's facets and
     ``weight(n, p, *divisor)`` its weight factors.  A class is ample iff
-    r . divisor > 0 for each row r of ``ample``.  ``doubled`` is False for a
+    r . divisor > 0 for each row r of ``ample``; a family with no rows
+    exposes only its anticanonical class.  ``doubled`` is False for a
     family stated in undoubled coordinates, whose target is half the sum of
     the factor gradients.
     """
@@ -156,8 +157,7 @@ class FamilyInstance:
     """A family member resolved to criterion inputs; it owns its weight integrals.
 
     Immutable, and equal and hashed by its eight fields.  A plain class, not a
-    tuple: ``moments`` is cached in its ``__dict__``, and it can be weakly
-    referenced.
+    tuple: ``moments`` is cached in its ``__dict__``.
     """
 
     def __init__(self, tag: FamilyTag, dims: tuple[int, ...], divisor: Divisor,
@@ -195,14 +195,8 @@ class FamilyInstance:
         return [FactoredWeight(w.prefactor, w.factors + extra, w.nvars) for extra in in_x]
 
     def integrals(self, extras: Sequence[Factors]) -> list[Fraction]:
-        """Integrals of the weight times each tuple of ``extras``, stated in u.
-        A polygon takes linear factors only, so there, and nowhere else, an
-        extra (l + k)^m with a constant k != 0 in x is split into its linear
-        pieces C(m, i) k^(m-i) l^i, at most m + 1 of them."""
-        if isinstance(self.domain, Segment):
-            return [integrate_factored(w, self.domain) for w in self._weights(extras)]
-        return [sum(integrate_factored(piece, self.domain) for piece in _linear_pieces(w))
-                for w in self._weights(extras)]
+        """Integrals of the weight times each tuple of ``extras``, stated in u."""
+        return [integrate_factored(w, self.domain) for w in self._weights(extras)]
 
     @property
     def _moment_extras(self) -> list[Factors]:
@@ -274,34 +268,18 @@ def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[R
             )
 
 
-def _linear_pieces(weight: FactoredWeight) -> list[FactoredWeight]:
-    """Weights of linear factors only whose sum is ``weight``: each factor
-    (l + k)^m with k != 0 becomes the pieces C(m, i) k^(m-i) l^i."""
-    if not any(form.constant for form, _ in weight.factors):
-        return [weight]
-    pieces = [weight._replace(factors=())]
-    for form, mult in weight.factors:
-        if not form.constant:
-            pieces = [p._replace(factors=p.factors + ((form, mult),)) for p in pieces]
-            continue
-        linear = form._replace(constant=Fraction(0))
-        pieces = [p._replace(prefactor=p.prefactor * comb(mult, i) * form.constant ** (mult - i),
-                             factors=p.factors + ((linear, i),) * (i > 0))
-                  for p in pieces for i in range(mult + 1)]
-    return pieces
-
-
 def _validated(tag: FamilyTag, n: int, p: int | None,
                divisor: Sequence[RationalLike] | None) -> tuple[FamilyTag, int, int | None, Divisor]:
     """The arguments of ``_build``: the member checked, and the divisor
     normalized to Fractions (the anticanonical class for ``None``)."""
     check_params(tag, n, p)
-    anticanonical = FAMILY_DATA[tag].anticanonical(n, p)
+    data = FAMILY_DATA[tag]
+    anticanonical = data.anticanonical(n, p)
     if divisor is None:
         return tag, n, p, anticanonical
     divisor = _as_divisor(divisor, len(anticanonical), tag.value)
-    if tag is FamilyTag.BLQQ and divisor != anticanonical:
-        raise InvalidParameterError("blqq exposes only the anticanonical divisor")
+    if not data.ample and divisor != anticanonical:
+        raise InvalidParameterError(f"{tag.value} exposes only the anticanonical divisor")
     return tag, n, p, divisor
 
 
@@ -329,7 +307,8 @@ def resolve(
 ) -> FamilyInstance:
     """Resolve a family member and divisor class into criterion inputs.
 
-    ``divisor=None`` means the anticanonical class; blqq accepts no other.
+    ``divisor=None`` means the anticanonical class; a family without
+    ampleness rows, such as blqq, accepts no other.
     Results are memoized per process by value: the arguments are validated
     and the divisor normalized to a tuple of Fractions first, so equal
     classes share one instance, and an invalid argument raises on every call.
@@ -348,24 +327,19 @@ def resolve_anticanonical(tag: FamilyTag, n: int, p: int | None = None) -> Famil
     return resolve(tag, n, p)
 
 
-# The per-family entry points build a fresh instance on every call: they
-# bypass the memo of ``resolve``, so a caller probing many divisor classes
-# (the coupled search) leaves nothing behind.
-
-
 def blpp_resolve(n: int, p: int, divisor: Sequence[RationalLike]) -> FamilyInstance:
-    """Resolve a blpp divisor class, without the memo."""
-    return _build(*_validated(FamilyTag.BLPP, n, p, divisor))
+    """Resolve a blpp divisor class."""
+    return resolve(FamilyTag.BLPP, n, p, divisor)
 
 
 def blqq_resolve(n: int, p: int) -> FamilyInstance:
-    """Resolve the anticanonical class of the blqq family, without the memo."""
-    return _build(*_validated(FamilyTag.BLQQ, n, p, None))
+    """Resolve the anticanonical class of the blqq family."""
+    return resolve(FamilyTag.BLQQ, n, p)
 
 
 def quad_resolve(variant: FamilyTag, n: int, divisor: Sequence[RationalLike]) -> FamilyInstance:
-    """Resolve a quadric blow-up divisor class, without the memo."""
-    return _build(*_validated(variant, n, None, divisor))
+    """Resolve a quadric blow-up divisor class."""
+    return resolve(variant, n, None, divisor)
 
 
 RECORD_SCHEMA_VERSION = 1

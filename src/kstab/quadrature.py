@@ -13,11 +13,12 @@ where b is the convolution over j of the sequences C(m_j, k) u_j^(m_j-k) v_j^k,
 k = 0..m_j.  A factor that is constant on the segment, or zero at one end, is
 a single term, and a lone factor is a closed form.
 
-Over a polygon every factor must be linear; a factor with a constant term
-raises ContractError, and ``FamilyInstance.integrals`` splits such an extra
-into linear pieces first.  The weight f is then homogeneous of degree M, and
-Lasserre's edge formula ("Integration on a convex polytope", Proc. AMS 126
-(1998)) integrates it from the boundary alone:
+Over a polygon a factor (l + k)^m with a constant k != 0 is first split into
+its linear pieces C(m, i) k^(m-i) l^i, at most m + 1 of them, and each
+product of linear forms is integrated on its own.  Such a product f is
+homogeneous of degree M, and Lasserre's edge formula ("Integration on a
+convex polytope", Proc. AMS 126 (1998)) integrates it from the boundary
+alone:
 
     integral over P of f  =  1/(2+M) * sum over edges v -> w of det(v, w) * integral_0^1 f(v + s(w-v)) ds.
 
@@ -112,11 +113,6 @@ def integrate_poly1(f: Poly1, segment: Segment) -> Fraction:
     return _integrate_simplex(terms, ((lo, Fraction(0)), (hi, Fraction(0))), hi - lo)
 
 
-def _vertex_weights(top: int) -> list[int]:
-    """K! (top-K)! for K = 0..top, the weights of the factored vertex formula."""
-    return [factorial(k) * factorial(top - k) for k in range(top + 1)]
-
-
 def _bernstein_terms(u: int, v: int, m: int) -> list[int]:
     """C(m, k) u^(m-k) v^k for k = 0..m, the coefficients of ((1 - s) u + s v)^m
     on (1 - s)^(m-k) s^k."""
@@ -208,16 +204,32 @@ def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fra
                     p.denominator * facts[-1] * scale)
 
 
+def _linear_pieces(weight: FactoredWeight) -> list[FactoredWeight]:
+    """Weights of linear factors only whose sum is ``weight``: each factor
+    (l + k)^m with k != 0 becomes the pieces C(m, i) k^(m-i) l^i."""
+    if not any(form.constant for form, _ in weight.factors):
+        return [weight]
+    pieces = [weight._replace(factors=())]
+    for form, mult in weight.factors:
+        if not form.constant:
+            pieces = [p._replace(factors=p.factors + ((form, mult),)) for p in pieces]
+            continue
+        linear = form._replace(constant=Fraction(0))
+        pieces = [p._replace(prefactor=p.prefactor * comb(mult, i) * form.constant ** (mult - i),
+                             factors=p.factors + ((linear, i),) * (i > 0))
+                  for p in pieces for i in range(mult + 1)]
+    return pieces
+
+
 def _integrate_factored_polygon(weight: FactoredWeight, polygon: Polygon) -> Fraction:
     """Integral of a product of linear forms, of total degree M, over a
-    polygon from its edges (Lasserre's formula, in the module docstring).
+    polygon from its edges (Lasserre's formula, in the module docstring);
+    every factor's constant term must be zero.
 
     The vertices go over one denominator D and each factor's slopes over
     theirs, e_j, so each edge's det(v, w) D^2 and every factor's end values
     times e_j D are ints; the one Fraction divides by (M+2)! D^(M+2) prod e_j^m_j.
     """
-    if any(form.constant for form, _ in weight.factors):
-        raise ContractError("a factor with a constant term reached the polygon integrator")
     coords, den = _over_common_denominator([c for vertex in polygon.vertices for c in vertex])
     xs, ys = coords[::2], coords[1::2]
     columns, scale, top = [], 1, 0
@@ -263,7 +275,8 @@ def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
         b = [[sum(col) for col in zip(*(_times(bi, seq[K - i]) for i, bi in enumerate(b)
                                         if 0 <= K - i < len(seq)))] for K in range(len(b) + len(seq) - 1)]
     top = len(b) + len(last) - 2
-    w = _vertex_weights(top)
+    facts = _factorials(top + 1)
+    w = [facts[k] * facts[top - k] for k in range(top + 1)]
     columns = list(zip(*last))
     contracted = ([sum(map(mul, w[i:], column)) for column in columns] for i in range(len(b)))
     total = [sum(col) for col in zip(*map(_times, b, contracted))]
@@ -271,7 +284,7 @@ def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
     (l0, l1), dl = _over_common_denominator((lengths[0], lengths[1] - lengths[0]))
     p = start.prefactor
     return ([p.numerator * c for c in _times(total, (l0, l1))],
-            p.denominator * dl * factorial(top + 1) * den)
+            p.denominator * dl * facts[-1] * den)
 
 
 def integrate_poly2_triangle(f: Poly2, triangle: tuple[Point, Point, Point]) -> Fraction:
@@ -291,11 +304,11 @@ def integrate_poly2_polygon(f: Poly2, polygon: Polygon) -> Fraction:
 
 
 def integrate_factored(weight: FactoredWeight, domain: Segment | Polygon) -> Fraction:
-    """Integral of a factored weight over a segment or a polygon; on a
-    polygon every factor must be linear, or ContractError is raised."""
+    """Integral of a factored weight, any product of affine powers, over a
+    segment or a polygon."""
     if isinstance(domain, Segment):
         return _integrate_factored_segment(weight, domain)
-    return _integrate_factored_polygon(weight, domain)
+    return sum(_integrate_factored_polygon(piece, domain) for piece in _linear_pieces(weight))
 
 
 class Moments2(NamedTuple):

@@ -442,6 +442,12 @@ class TestSpecParsing:
             parse_spec(["dump-instance", "--family", "blqq", "--n", "6", "--p", "3",
                         "--divisor", "1,1"])
 
+    def test_divisor_rejected_for_a_family_without_ampleness_rows(self, monkeypatch):
+        monkeypatch.setitem(families.FAMILY_DATA, FamilyTag.QUAD_E,
+                            families.FAMILY_DATA[FamilyTag.QUAD_E]._replace(ample=()))
+        with pytest.raises(cli.SpecError, match="^field --divisor: quade exposes only the anticanonical divisor$"):
+            parse_spec(["dump-instance", "--family", "quade", "--n", "9", "--divisor", "3,6"])
+
 
 class TestTasks:
     def test_tasks_are_picklable_records(self):

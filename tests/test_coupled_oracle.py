@@ -1,7 +1,7 @@
 """The coupled search checked against a probe loop driven by the direct residual.
 
 The reference below bisects exactly as ``criteria.coupled_search`` does, but
-every probe resolves the member and its complement afresh and reads the
+every probe resolves the member and its complement and reads the
 exact ``coupled_residual``; nothing is built once per segment.  The search
 itself builds the residual along the segment once, as N(s)/D(s) in integer
 polynomials, and reads only signs.  Both must give equal certificates, and

@@ -1,6 +1,5 @@
 """Decision procedures: classification, Mabuchi tests, certificates, search."""
 
-import weakref
 from fractions import Fraction as F
 from math import comb
 
@@ -377,6 +376,19 @@ class TestCoupledSearch:
         with pytest.raises(ContractError, match="^segment leaves the ample region at parameter 0$"):
             criteria.coupled_search(6, outside, (F(0), F(1, 2), F(0)), max_bisections=8)
 
+    def test_end_arity_is_checked_before_the_ends(self):
+        # the arity is checked before the ends are, so no zip of the two ends truncates
+        long_start = (2, F(1, 4), F(3, 4), 0)
+        message = "^blpp divisors take 3 coefficients, got 4$"
+        with pytest.raises(InvalidParameterError, match=message):
+            criteria.coupled_search(4, long_start, (3, F(1, 2), F(1, 4)), 10)
+        with pytest.raises(InvalidParameterError, match=message):
+            criteria.coupled_search(4, (3, F(1, 2), F(1, 4)), long_start, 10)
+        with pytest.raises(InvalidParameterError, match=message):
+            criteria.coupled_complement(4, long_start)
+        with pytest.raises(InvalidParameterError, match="^blpp divisors take 3 coefficients, got 2$"):
+            criteria.coupled_complement(4, (3, F(1, 2)))
+
 
 @pytest.fixture
 def integrations(monkeypatch):
@@ -426,23 +438,18 @@ class TestMomentsIntegrateOnce:
         assert len(integrations) == 1
 
 
-class TestCoupledProbesStayOutOfTheMemo:
-    def test_search_leaves_the_memo_empty(self, monkeypatch):
-        # every probe of a coupled search is a new divisor class, read once,
-        # and freed with its moments when the probe is done
-        probes = []
-        build = criteria.blpp_resolve
-
-        def recording(*args):
-            inst = build(*args)
-            probes.append(weakref.ref(inst))
-            return inst
-
-        monkeypatch.setattr(criteria, "blpp_resolve", recording)
+class TestCoupledMembersThroughTheMemo:
+    def test_default_search_builds_three_members(self):
+        # a search builds only its end members; the default start is its own
+        # complement, so the memo holds it once, and the residual at the start
+        # reads the members the search built
         start, end = criteria.coupled_default_endpoints(5)
+        assert criteria.coupled_complement(5, start) == start
         criteria.coupled_search(5, start, end, 8)
-        assert families._resolve.cache_info().currsize == 0
-        assert probes and all(ref() is None for ref in probes)
+        info = families._resolve.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+        criteria.coupled_residual(5, start)
+        assert families._resolve.cache_info().misses == 3
 
 
 class TestCoupledSearchCost:

@@ -165,8 +165,15 @@ class TestResolveMemo:
         assert resolve_anticanonical(FamilyTag.BLQQ, 9, 4) is resolve(FamilyTag.BLQQ, 9, 4)
 
     def test_memoized_instance_equals_a_fresh_resolution(self):
-        assert resolve(FamilyTag.BLPP, 7, 2, [3, 1, 2]) == blpp_resolve(7, 2, (3, 1, 2))
-        assert resolve(FamilyTag.QUAD_PT, 8) == quad_resolve(FamilyTag.QUAD_PT, 8, (3, 1))
+        memoized = [resolve(FamilyTag.BLPP, 7, 2, [3, 1, 2]), resolve(FamilyTag.QUAD_PT, 8)]
+
+        def per_family():
+            return [blpp_resolve(7, 2, (3, 1, 2)), quad_resolve(FamilyTag.QUAD_PT, 8, (3, 1))]
+
+        assert all(a is b for a, b in zip(per_family(), memoized))  # one memo behind both
+        resolve.cache_clear()
+        fresh = per_family()
+        assert fresh == memoized and all(a is not b for a, b in zip(fresh, memoized))
 
     @pytest.mark.parametrize("args, error", [
         ((FamilyTag.BLPP, 6, 5), InvalidParameterError),
@@ -336,3 +343,9 @@ class TestAmplenessRows:
     def test_blqq_has_no_rows(self):
         assert FAMILY_DATA[FamilyTag.BLQQ].ample == ()
         assert FAMILY_DATA[FamilyTag.BLQQ].is_ample(anticanonical_divisor(FamilyTag.BLQQ, 8, 4))
+
+    def test_a_family_without_rows_exposes_only_its_anticanonical_class(self, monkeypatch):
+        monkeypatch.setitem(FAMILY_DATA, FamilyTag.QUAD_E, FAMILY_DATA[FamilyTag.QUAD_E]._replace(ample=()))
+        assert resolve(FamilyTag.QUAD_E, 9, None, [F(7, 2), 6]) is resolve(FamilyTag.QUAD_E, 9)
+        with pytest.raises(InvalidParameterError, match="^quade exposes only the anticanonical divisor$"):
+            resolve(FamilyTag.QUAD_E, 9, None, [3, 5])
