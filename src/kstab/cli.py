@@ -7,11 +7,12 @@ derived for display and never feed back into a decision.  Identical
 invocations produce byte-identical json and csv output: rows are generated
 in parameter order and keys in fixed order.
 
-Exit codes: 0 on completion; 1 only from ``parse_spec``, which checks
-every argument of every command before any row runs, or from an ``--out``
-path that cannot be written; 2 when any row ended in an ``error:<code>``
-verdict (whatever the code) or when dump-instance raised a kstab error.
-The reason of each error or no-bracket row goes to stderr, one line a row.
+Exit codes: 0 on completion; 1 when ``parse_spec`` (which checks every
+argument before any row runs, with the library's validators where it has
+them) or ``--out`` refused the invocation; 2 when any row ended in an
+``error:<code>`` verdict (whatever the code) or when dump-instance's
+validated member could not be built.  The reason of each error or
+no-bracket row goes to stderr, one line a row.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from io import StringIO
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import criteria
 from .errors import InvalidParameterError, KstabError, NoBracketError
-from .families import FAMILY_DATA, FamilyTag, instance_record, resolve
+from .families import FamilyTag, _as_divisor, _validated, check_params, instance_record, resolve
 from .poly import _excerpt, rational_from_str, rational_to_str
 from .suites import SUITE_CRITERIA
 
@@ -57,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 class Task(NamedTuple):
     """One report row to compute, picklable for the worker pool: a member
-    (n, p) of the family, or a coupled search at k (n and p are None)."""
+    (n, p) of the family, or a coupled search at k along start -> end."""
 
     command: str
     family: FamilyTag
@@ -78,7 +79,7 @@ class Task(NamedTuple):
 
 class RunSpec(NamedTuple):
     """A validated invocation: the rows of a sweep, verify's suite and
-    --max-n, or dump-instance's member (family, n, p, divisor)."""
+    --max-n, or dump-instance's member as ``families._validated`` returns it."""
 
     command: str
     tasks: tuple[Task, ...]
@@ -114,16 +115,22 @@ def _parse_int(text: str, field: str) -> int:
         raise SpecError(f"field {field}: cannot parse integer {_excerpt(text)!r}") from exc
 
 
+def _ask(field: str, validator: Callable, *args):
+    """Call a library validator; its ``InvalidParameterError`` refuses the
+    invocation under ``field``, in the library's words."""
+    try:
+        return validator(*args)
+    except InvalidParameterError as exc:
+        raise SpecError(f"field {field}: {exc}") from exc
+
+
 def _parse_divisor(text: str, field: str) -> tuple[Fraction, ...]:
     parts = text.split(",")
     if not any(p.strip() for p in parts):
         raise SpecError(f"field {field}: no coefficients given")
     if not all(p.strip() for p in parts):
         raise SpecError(f"field {field}: empty coefficient in {_excerpt(text)!r}")
-    try:
-        return tuple(rational_from_str(p) for p in parts)
-    except InvalidParameterError as exc:
-        raise SpecError(f"field {field}: {exc}") from exc
+    return tuple(_ask(field, rational_from_str, p) for p in parts)
 
 
 def _available_cpus() -> int:
@@ -226,9 +233,17 @@ def _member_tasks(ns: argparse.Namespace, tag: FamilyTag) -> tuple[Task, ...]:
 
 
 def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
+    """The rows of coupled, each carrying its segment: a given end is read
+    once, as a blpp divisor, and a row at k >= 2 fills in the built-in end
+    for each one not given.  When an end is given, both ends of each such
+    row must be ample pairs (the region is convex, so the search stays in
+    it); a refused end is shown as typed, cut short when long.  With none
+    given, an end off the region is left to its row: the k = 2 row's
+    contract-breach is pinned by ``perfbench/digests.json``."""
     k_values = _parse_range(ns.k, "--k")
-    start = None if ns.start is None else _parse_divisor(ns.start, "--start")
-    end = None if ns.end is None else _parse_divisor(ns.end, "--end")
+    texts = {"--start": ns.start, "--end": ns.end}
+    given = {field: _ask(field, _as_divisor, _parse_divisor(text, field), 3, "blpp")
+             for field, text in texts.items() if text is not None}
     if ns.bisections < 0:
         raise SpecError("field --bisections: must be nonnegative")
     if ns.bisections > MAX_BISECTIONS:
@@ -236,39 +251,28 @@ def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
     _check_rows("--k", len(k_values), 2 * max(k_values) + 1)
     if all(k < 2 for k in k_values):
         raise SpecError("field --k: must reach at least 2")
-    if start or end:
-        _check_endpoints(k_values, (("--start", ns.start, start), ("--end", ns.end, end)))
-    return tuple(Task("coupled", FamilyTag.BLPP, None, None, k, ns.bisections, start, end)
-                 for k in k_values)
-
-
-def _check_endpoints(k_values: Sequence[int], given: Sequence[tuple]) -> None:
-    """A given endpoint (field, text, divisor) has three coefficients, and at
-    every k >= 2 both ends of the segment, given or built in, are ample
-    pairs.  The ample region is convex, so the search then never leaves it.
-    A refused endpoint is shown as typed, cut short when long."""
-    for field, _, divisor in given:
-        if divisor is not None and len(divisor) != 3:
-            raise SpecError(f"field {field}: blpp divisors take 3 coefficients, got {len(divisor)}")
+    tasks = []
     for k in k_values:
-        if k < 2:
-            continue  # the row reports its own invalid-parameter error
-        for (field, text, divisor), default in zip(given, criteria.coupled_default_endpoints(k)):
-            if not criteria.coupled_pair_ample(k, divisor or default):
-                which = "" if divisor else "the built-in endpoint "
-                shown = _excerpt(text.strip()) if divisor else ",".join(map(str, default))
-                raise SpecError(f"field {field}: {which}{shown} is not an ample pair at k = {k}")
+        # a k < 2 row has no built-in ends: it reports its own invalid-parameter error
+        defaults = criteria.coupled_default_endpoints(k) if k >= 2 else (None, None)
+        ends = tuple(given.get(field, default) for field, default in zip(texts, defaults))
+        for field, end in zip(texts, ends):
+            if given and k >= 2 and not criteria.coupled_pair_ample(k, end):
+                shown = (_excerpt(texts[field].strip()) if field in given
+                         else "the built-in endpoint " + ",".join(map(str, end)))
+                raise SpecError(f"field {field}: {shown} is not an ample pair at k = {k}")
+        tasks.append(Task("coupled", FamilyTag.BLPP, None, None, k, ns.bisections, *ends))
+    return tuple(tasks)
 
 
 def _dump_member(ns: argparse.Namespace, tag: FamilyTag) -> tuple:
+    """dump-instance's member as ``families._validated`` returns it: refused
+    under --n when (n, p) names no member, then under --divisor."""
     if ns.p is None and tag.takes_p:
         raise SpecError("field --p: required for this family")
-    divisor = None
-    if ns.divisor is not None:
-        if not FAMILY_DATA[tag].ample:
-            raise SpecError(f"field --divisor: {tag.value} exposes only the anticanonical divisor")
-        divisor = _parse_divisor(ns.divisor, "--divisor")
-    return tag, ns.n, ns.p, divisor
+    divisor = None if ns.divisor is None else _parse_divisor(ns.divisor, "--divisor")
+    _ask("--n", check_params, tag, ns.n, ns.p)
+    return _ask("--divisor", _validated, tag, ns.n, ns.p, divisor)
 
 
 def parse_spec(argv: Sequence[str]) -> RunSpec:
@@ -352,11 +356,7 @@ def _mh_result(task: Task) -> tuple[str, dict]:
 
 
 def _coupled_result(task: Task) -> tuple[str, dict]:
-    default_start, default_end = criteria.coupled_default_endpoints(task.k)
-    cert = criteria.coupled_search(
-        task.k, task.start or default_start, task.end or default_end,
-        max_bisections=task.bisections,
-    )
+    cert = criteria.coupled_search(task.k, task.start, task.end, max_bisections=task.bisections)
     witness: dict = {}
     for label, params in (("lo", cert.params_lo), ("hi", cert.params_hi), ("mid", cert.midpoint)):
         for idx, value in enumerate(params):

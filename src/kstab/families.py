@@ -264,8 +264,15 @@ def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[R
         values = [c * den + sum(map(mul, slopes, point)) for point in points]
         if min(values) < 0 or max(values) <= 0:
             raise WeightPositivityError(
-                f"weight factor {form} is not positive on the domain interior"
+                f"weight factor {_form_text(form)} is not positive on the domain interior"
             )
+
+
+def _form_text(form: AffineForm) -> str:
+    """An affine form as "c + a*t" or "c + a*x + b*y", in ``rational_to_str``'s num/den."""
+    axes = "t" if form.nvars == 1 else "xy"
+    return " + ".join([rational_to_str(form.constant)]
+                      + [f"{rational_to_str(a)}*{axis}" for a, axis in zip(form.linear, axes)])
 
 
 def _validated(tag: FamilyTag, n: int, p: int | None,

@@ -135,11 +135,6 @@ class Poly1(NamedTuple):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "Poly1") -> "Poly1":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -258,12 +253,6 @@ class Poly2(NamedTuple):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        for a, b, c in self.terms:
-            if (a, b) == (i, j):
-                return c
-        return Fraction(0)
 
     def max_degrees(self) -> tuple[int, int]:
         """Largest exponent of each variable across all terms ((0, 0) if zero)."""

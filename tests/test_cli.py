@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from kstab import cli, criteria, families, verify
 from kstab.cli import main, parse_spec, render_to_string
-from kstab.errors import KstabError
+from kstab.errors import InvalidParameterError, KstabError
 from kstab.families import FamilyTag, instance_record, resolve_anticanonical
 from kstab.poly import rational_from_str
 
@@ -261,6 +261,29 @@ class TestExitCodes:
                      "--divisor", "3,1,1", "--jobs", "1"]) == 1
         assert "--divisor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "blpp", "--n", "6", "--p", "3", "--divisor", "1,2"],
+         "field --divisor: blpp divisors take 3 coefficients, got 2"),
+        (["--family", "blpp", "--n", "6", "--p", "3", "--divisor", "3,1,1,1"],
+         "field --divisor: blpp divisors take 3 coefficients, got 4"),
+        (["--family", "blpp", "--n", "6", "--p", "1"],
+         "field --n: blpp requires 2 <= p <= n-2, got n=6, p=1"),
+        (["--family", "blpp", "--n", "3", "--p", "2"],
+         "field --n: blpp requires 2 <= p <= n-2, got n=3, p=2"),
+        (["--family", "quade", "--n", "4"], "field --n: quade requires n >= 5, got n=4"),
+    ])
+    def test_member_refused_by_the_library_is_one(self, capsys, args, message):
+        assert main(["dump-instance", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"kstab: invalid invocation: {message}\n" and captured.out == ""
+
+    def test_dump_instance_accepts_the_anticanonical_class_of_blqq(self, capsys):
+        args = ["dump-instance", "--family", "blqq", "--n", "6", "--p", "3"]
+        assert main(args) == 0
+        anticanonical = capsys.readouterr()
+        assert main(args + ["--divisor", "2,2"]) == 0
+        assert capsys.readouterr() == anticanonical
+
     def test_error_rows_are_two(self, capsys):
         code = main(["ke", "--family", "blpp", "--n", "4..6", "--p", "4", "--jobs", "1"])
         capsys.readouterr()
@@ -447,6 +470,59 @@ class TestSpecParsing:
                             families.FAMILY_DATA[FamilyTag.QUAD_E]._replace(ample=()))
         with pytest.raises(cli.SpecError, match="^field --divisor: quade exposes only the anticanonical divisor$"):
             parse_spec(["dump-instance", "--family", "quade", "--n", "9", "--divisor", "3,6"])
+
+
+@st.composite
+def _dump_members(draw):
+    """dump-instance's --family, --n, --p and a well-formed --divisor: none,
+    any 1-4 rationals, or the member's anticanonical class when it has one."""
+    tag = draw(st.sampled_from(list(FamilyTag)))
+    n = draw(st.integers(-2, 12))
+    p = draw(st.none() | st.integers(-2, 12))
+    choices = [st.none(), st.lists(st.fractions(-5, 5, max_denominator=6), min_size=1, max_size=4)]
+    try:
+        choices.append(st.just(families.anticanonical_divisor(tag, n, p)))
+    except InvalidParameterError:
+        pass
+    return tag, n, p, draw(st.one_of(choices))
+
+
+class TestOneGate:
+    @settings(max_examples=300, deadline=None)
+    @given(member=_dump_members())
+    def test_dump_instance_is_refused_exactly_when_the_library_refuses(self, member):
+        tag, n, p, divisor = member
+        argv = ["dump-instance", f"--family={tag.value}", f"--n={n}"]
+        argv += [] if p is None else [f"--p={p}"]
+        argv += [] if divisor is None else ["--divisor=" + ",".join(map(str, divisor))]
+        try:
+            validated = families._validated(tag, n, p, divisor)
+        except InvalidParameterError:
+            validated = None
+        try:
+            spec = parse_spec(argv)
+        except cli.SpecError:
+            assert validated is None or (tag.takes_p and p is None)
+        else:
+            assert spec.member == validated
+
+    def test_coupled_tasks_carry_their_segment(self, monkeypatch):
+        given = parse_spec(["coupled", "--k", "5..6", "--start", "3,1/4,3/4", "--bisections", "4",
+                            "--jobs", "1"]).tasks
+        assert [(t.start, t.end) for t in given] == [
+            ((F(3), F(1, 4), F(3, 4)), criteria.coupled_default_endpoints(k)[1]) for k in (5, 6)]
+        built_in = parse_spec(["coupled", "--k", "1..3", "--bisections", "4", "--jobs", "1"]).tasks
+        assert [(t.start, t.end) for t in built_in] == [
+            (None, None), *(criteria.coupled_default_endpoints(k) for k in (2, 3))]
+        assert pickle.loads(pickle.dumps(given + built_in)) == given + built_in
+
+        def refuse(k):
+            raise AssertionError("a row derived its built-in ends again")
+
+        monkeypatch.setattr(criteria, "coupled_default_endpoints", refuse)
+        assert [cli._run_task(t)["verdict"] for t in given + built_in] == [
+            "certificate", "certificate", "error:invalid-parameter", "error:contract-breach",
+            "no-bracket"]
 
 
 class TestTasks:
@@ -728,7 +804,7 @@ def test_main_fuzz_never_raises(tmp_path_factory, argv, fmt):
         # only the built-in coupled k = 2 row still ends in a contract breach
         # (ROADMAP item 5)
         assert argv[0] == "coupled"
-        assert all(t.start is None and t.end is None for t in parse_spec(argv + ["--jobs", "1"]).tasks)
+        assert not any(arg.startswith(("--start", "--end")) for arg in argv)
         breaches = [line for line in err.getvalue().splitlines() if "contract-breach" in line]
         assert breaches == ["kstab: blpp k=2: error:contract-breach: "
                             "segment leaves the ample region at parameter 1"]

@@ -110,7 +110,6 @@ class TestPolyOps:
 
     def test_zero_polynomial_normalized(self):
         assert Poly1.from_coeffs([0, 0]).is_zero
-        assert Poly1.from_coeffs([1, 0]).degree == 0
 
     def test_poly2_normalization(self):
         p = Poly2.from_terms([(1, 0, 1), (1, 0, -1), (0, 0, 3)])
