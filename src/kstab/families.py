@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .errors import InvalidParameterError, WeightPositivityError, ZeroMassError
+from .errors import DegenerateRegionError, InvalidParameterError, WeightPositivityError, ZeroMassError
 from .poly import (AffineForm, FactoredWeight, RationalLike, _as_fraction, _over_common_denominator,
                    rational_to_str)
 from .polytope import Polygon, Segment, polygon_from_halfplanes
@@ -213,9 +213,8 @@ class FamilyInstance:
         return mass, tuple(f / mass for f in firsts)
 
     def moments_along(self, end: "FamilyInstance") -> list[tuple[list[int], int]]:
-        """Mass and first moments from this class (s = 0) to ``end`` (s = 1), as
-        ``integrate_factored_along`` gives them.  Exact while the active facets stay
-        the same, as on blpp's ample region: facet offsets and factor constants are affine."""
+        """Mass and first moments from this class (s = 0) to ``end`` (s = 1), each integer
+        coefficients in s over one denominator; exact while the active facets stay (blpp's ample region)."""
         return [integrate_factored_along(w0, self.domain, w1, end.domain) for w0, w1
                 in zip(self._weights(self._moment_extras), end._weights(end._moment_extras))]
 
@@ -302,6 +301,8 @@ def _build(tag: FamilyTag, n: int, p: int | None, divisor: Divisor) -> FamilyIns
     weight = FactoredWeight.of(
         1, [(AffineForm.of(*coeffs), mult) for coeffs, mult in data.weight(n, p, *divisor)])
     _check_weight_positive(weight, domain.vertices)
+    if tag.dimension == 1 and domain.lo == domain.hi:
+        raise DegenerateRegionError(f"segment [{domain.lo}, {domain.hi}] is a point")
     scale = Fraction(1, 1 if data.doubled else 2)
     target = tuple(scale * sum(mult * form.linear[axis] for form, mult in weight.factors)
                    for axis in range(tag.dimension))

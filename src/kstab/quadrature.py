@@ -33,11 +33,10 @@ each factor's pair of values is reduced to its least common denominator, so
 the ends of a bisected divisor class, with denominators near 2^40, cost no
 more than their values.
 
-``integrate_factored_along`` is the segment formula over Z[s]: with the segment
-ends and factor constants affine in s, and fixed slopes, every u_j and v_j is
-affine in s.  The factor of highest multiplicity is contracted with the
-weights first, sum_K K! (M-K)! b_K = sum_i b'_i sum_l (i+l)! (M-i-l)! seq_l,
-in O(m^3) integer products, not the O(m^4) of the full convolution.
+``integrate_factored_along`` moves the segment ends and factor constants
+affinely in s, so every u_j and v_j is affine in s and (M+1)! times the integral
+over [0, 1] is an integer polynomial of degree M in s: the segment kernel samples
+it at the M + 1 integers centred on 0, and Newton's forward differences interpolate.
 
 The routes for the polynomial classes stay: ``integrate_poly1``, the
 ``integrate_poly2_*`` pair on fan triangles, ``moments``, ``barycenter``,
@@ -248,6 +247,20 @@ def _integrate_factored_polygon(weight: FactoredWeight, polygon: Polygon) -> Fra
     return Fraction(p.numerator * total, p.denominator * (top + 2) * facts[-1] * den ** (top + 2) * scale)
 
 
+def _interpolate(values: Sequence[int], first: int) -> list[int]:
+    """Coefficients, constant first, of the integer polynomial of degree M that
+    takes the M + 1 ``values`` at first, first + 1, ...: Newton's forward
+    differences in Horner form, times M! so that the one division comes last."""
+    diffs, top = list(values), len(values) - 1
+    for k in range(1, top + 1):
+        diffs[k:] = [b - a for a, b in zip(diffs[k - 1:], diffs[k:])]
+    coeffs = [diffs[top]]
+    for k in range(top - 1, -1, -1):  # times (s - first - k), plus M!/k! times the k-th difference
+        coeffs = [a - (first + k) * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += diffs[k] * (factorial(top) // factorial(k))
+    return [c // factorial(top) for c in coeffs]
+
+
 def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
                              end: FactoredWeight, end_segment: Segment) -> tuple[list[int], int]:
     """Integral of a weight over a segment, both moving affinely in s from
@@ -256,30 +269,17 @@ def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
     multiplicity: integer coefficients in s, constant first, and one denominator."""
     if len({(w.prefactor, tuple((f.linear, m) for f, m in w.factors)) for w in (start, end)}) > 1:
         raise ContractError("the two weights differ in a prefactor, a slope or a multiplicity")
-    seqs, den = [], 1
+    lines, den, top = [], 1, 0
     for (f, mult), (g, _) in zip(start.factors, end.factors):
         u, v = f.evaluate((start_segment.lo,)), f.evaluate((start_segment.hi,))
         (u0, u1, v0, v1), d = _over_common_denominator(
             (u, g.evaluate((end_segment.lo,)) - u, v, g.evaluate((end_segment.hi,)) - v))
-        u_pows, v_pows = [[1]], [[1]]
-        for _ in range(mult):
-            u_pows.append(_times(u_pows[-1], (u0, u1)))
-            v_pows.append(_times(v_pows[-1], (v0, v1)))
-        seqs.append([[comb(mult, k) * c for c in _times(u_pows[mult - k], v_pows[k])]
-                     for k in range(mult + 1)])
+        lines.append((u0, u1, v0, v1, mult))
         den *= d**mult
-    seqs.sort(key=len)
-    last = seqs.pop() if seqs else [[1]]
-    b = [[1]]
-    for seq in seqs:  # b_K = sum over i of b_i seq_(K-i), in Z[s]
-        b = [[sum(col) for col in zip(*(_times(bi, seq[K - i]) for i, bi in enumerate(b)
-                                        if 0 <= K - i < len(seq)))] for K in range(len(b) + len(seq) - 1)]
-    top = len(b) + len(last) - 2
-    facts = _factorials(top + 1)
-    w = [facts[k] * facts[top - k] for k in range(top + 1)]
-    columns = list(zip(*last))
-    contracted = ([sum(map(mul, w[i:], column)) for column in columns] for i in range(len(b)))
-    total = [sum(col) for col in zip(*map(_times, b, contracted))]
+        top += mult
+    facts, first = _factorials(top + 1), -(top // 2)
+    total = _interpolate([_unit_integral([(u0 + u1 * s, v0 + v1 * s, m) for u0, u1, v0, v1, m in lines], facts)
+                          for s in range(first, first + top + 1)], first)
     lengths = (start_segment.hi - start_segment.lo, end_segment.hi - end_segment.lo)
     (l0, l1), dl = _over_common_denominator((lengths[0], lengths[1] - lengths[0]))
     p = start.prefactor
@@ -297,10 +297,7 @@ def integrate_poly2_triangle(f: Poly2, triangle: tuple[Point, Point, Point]) -> 
 
 def integrate_poly2_polygon(f: Poly2, polygon: Polygon) -> Fraction:
     """Integral of f over a polygon: sum over the fan triangulation."""
-    total = Fraction(0)
-    for tri in triangulate(polygon):
-        total += integrate_poly2_triangle(f, tri)
-    return total
+    return sum((integrate_poly2_triangle(f, tri) for tri in triangulate(polygon)), Fraction(0))
 
 
 def integrate_factored(weight: FactoredWeight, domain: Segment | Polygon) -> Fraction:

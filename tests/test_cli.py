@@ -284,6 +284,15 @@ class TestExitCodes:
         assert main(args + ["--divisor", "2,2"]) == 0
         assert capsys.readouterr() == anticanonical
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "blpp", "--n", "6", "--p", "3", "--divisor", "1,0,0"],
+        ["--family", "quade", "--n", "6", "--divisor", "0,1"],
+    ], ids=["segment", "polygon"])
+    def test_degenerate_member_is_two(self, capsys, args):
+        assert main(["dump-instance", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kstab: degenerate: ") and captured.out == ""
+
     def test_error_rows_are_two(self, capsys):
         code = main(["ke", "--family", "blpp", "--n", "4..6", "--p", "4", "--jobs", "1"])
         capsys.readouterr()

@@ -478,6 +478,20 @@ class TestCoupledSearchCost:
         criteria.coupled_search(9, start, end, 40)
         assert len(calls) == 4
 
+    def test_residual_is_built_by_the_segment_kernel(self, monkeypatch):
+        # the moment polynomials are samples of the one integer segment kernel, not Z[s] arithmetic
+        calls = []
+        kernel = quadrature._unit_integral
+
+        def counting(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(quadrature, "_unit_integral", counting)
+        start, end = criteria.coupled_default_endpoints(9)
+        criteria.coupled_search(9, start, end, 40)
+        assert calls
+
 
 def _expanded_verdict(inst):
     """The ``ke`` verdict from the weight multiplied out and integrated by

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab.errors import EmptyRegionError, InvalidParameterError, WeightPositivityError
+from kstab.errors import DegenerateRegionError, EmptyRegionError, InvalidParameterError, WeightPositivityError
 from kstab.families import (
     FAMILY_DATA,
     FamilyTag,
@@ -71,6 +71,11 @@ class TestBlppResolve:
         with pytest.raises(WeightPositivityError) as raised:
             blpp_resolve(4, 2, (0, 0, 0))
         assert str(raised.value) == "weight factor 0/1 + -1/1*t is not positive on the domain interior"
+
+    def test_one_point_segment_is_degenerate(self):
+        # refused as a lower-dimensional polygon is, not left to fail with zero mass
+        with pytest.raises(DegenerateRegionError, match=r"^segment \[0, 0\] is a point$"):
+            blpp_resolve(6, 3, (1, 0, 0))
 
     def test_mirror_symmetry(self):
         for n in range(4, 11):

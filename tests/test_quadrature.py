@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kstab import quadrature
+from kstab import criteria, quadrature
 from kstab.errors import ContractError, ZeroMassError
-from kstab.families import FamilyTag, resolve_anticanonical
+from kstab.families import FamilyTag, blpp_resolve, resolve_anticanonical
 from kstab.poly import AffineForm, FactoredWeight, Poly1, Poly2
 from kstab.polytope import HalfPlane, Polygon, Segment, polygon_from_halfplanes
 from kstab.quadrature import (
@@ -310,7 +310,8 @@ def _factored_along(draw):
 
 
 class TestIntegrateFactoredAlong:
-    """The Z[s] vertex formula against the scalar one at the interpolated weight and segment."""
+    """The segment formula in s, sampled and interpolated, against the scalar one at the
+    interpolated weight and segment."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=_factored_along())
@@ -339,6 +340,52 @@ class TestIntegrateFactoredAlong:
         start = FactoredWeight.of(1, [(AffineForm.of(2, -1), 2), (AffineForm.of(1, 1), 1)])
         with pytest.raises(ContractError):
             quadrature.integrate_factored_along(start, Segment.of(0, 1), end, Segment.of(0, 2))
+
+
+def _value(coeffs, den, s):
+    return F(sum(c * s**i for i, c in enumerate(coeffs)), den)
+
+
+class TestSampledSegmentFormula:
+    """``integrate_factored_along`` reads its polynomial off the integer segment
+    kernel at M + 1 integers around 0, outside [0, 1] too, where a factor may
+    vanish at an end, the segment may shrink to a point or two factors may meet."""
+
+    @pytest.mark.parametrize("s", [F(0), F(1), F(1, 3), F(2**40 - 3, 2**40)], ids=["0", "1", "1/3", "over-2^40"])
+    def test_coupled_moment_polynomials_at_k_20(self, s):
+        # the default coupled segment at the largest k that verify's criterion 5 reaches
+        k = 20
+        start, end = criteria.coupled_default_endpoints(k)
+        for a, b in ((start, end), (criteria.coupled_complement(k, start), criteria.coupled_complement(k, end))):
+            first, last = blpp_resolve(2 * k + 1, k, a), blpp_resolve(2 * k + 1, k, b)
+            member = blpp_resolve(2 * k + 1, k, tuple(_at(s, x, y) for x, y in zip(a, b)))
+            expected = [integrate_factored(w, member.domain) for w in member._weights(member._moment_extras)]
+            assert [_value(*poly, s) for poly in first.moments_along(last)] == expected
+
+    def test_special_ends_at_the_samples(self, monkeypatch):
+        # on [0, 1 + s]: at s = 1, 1 - s + t vanishes at lo and 2 - t at hi, and 2 + s + t meets 3 + t;
+        # at s = -1 the segment is a point, so every factor has equal ends; 5 + 0 t never moves
+        slopes = [(1, 2), (-1, 1), (1, 2), (1, 1), (0, 1)]
+        consts = [(1, 0), (2, 2), (3, 3), (2, 3), (5, 5)]
+
+        def weight(i):
+            return FactoredWeight.of(F(3, 2), [(AffineForm.of(c[i], a), m) for c, (a, m) in zip(consts, slopes)])
+
+        kernel, seen = quadrature._unit_integral, []
+
+        def recording(ends, facts):
+            seen.append([(u, v) for u, v, _ in ends])
+            return kernel(ends, facts)
+
+        monkeypatch.setattr(quadrature, "_unit_integral", recording)
+        coeffs, den = quadrature.integrate_factored_along(weight(0), Segment.of(0, 1), weight(1), Segment.of(0, 2))
+        assert len(seen) == 8  # M = 7
+        assert any(0 in pair for ends in seen for pair in ends[:2])
+        assert any(all(u == v for u, v in ends) for ends in seen)
+        assert any(ends[2] == ends[3] for ends in seen)
+        for s in (F(-1), F(0), F(1), F(1, 3), F(4), F(7, 2**40)):
+            at_s = FactoredWeight.of(F(3, 2), [(AffineForm.of(_at(s, *c), a), m) for c, (a, m) in zip(consts, slopes)])
+            assert _value(coeffs, den, s) == integrate_factored(at_s, Segment.of(0, 1 + s))
 
 
 # ---------------------------------------------------------------------------
