@@ -7,6 +7,11 @@ derived for display and never feed back into a decision.  Identical
 invocations produce byte-identical json and csv output: rows are generated
 in parameter order and keys in fixed order.
 
+A sweep's row is a ``Task``: its family, its parameter columns and its call
+(the result function its subcommand names where it is declared, and that
+function's arguments).  A new row command is one result function plus its
+parse branch.
+
 Exit codes: 0 on completion; 1 when ``parse_spec`` (which checks every
 argument before any row runs, with the library's validators where it has
 them) or ``--out`` refused the invocation; 2 when any row ended in an
@@ -57,24 +62,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Task(NamedTuple):
-    """One report row to compute, picklable for the worker pool: a member
-    (n, p) of the family, or a coupled search at k along start -> end."""
+    """One report row to compute, picklable for the worker pool: its family,
+    its parameter columns as (name, value) pairs, and its call: ``run``, a
+    module-level result function, and ``args``, what it is called with (a
+    member's family, n and p; a coupled search's k, ends and bisections)."""
 
-    command: str
     family: FamilyTag
-    n: int | None
-    p: int | None
-    k: int | None = None
-    bisections: int = 0
-    start: tuple[Fraction, ...] | None = None
-    end: tuple[Fraction, ...] | None = None
-
-    @property
-    def params(self) -> dict:
-        """The parameter columns of the task's row."""
-        if self.command == "coupled":
-            return {"k": self.k}
-        return {"n": self.n} if self.p is None else {"n": self.n, "p": self.p}
+    params: tuple[tuple[str, int], ...]
+    run: Callable[..., tuple[str, dict]]
+    args: tuple
 
 
 class RunSpec(NamedTuple):
@@ -153,12 +149,14 @@ def _build_parser() -> _Parser:
     ke.add_argument("--family", required=True, choices=sorted(t.value for t in FamilyTag))
     ke.add_argument("--n", required=True, help="integer or inclusive range lo..hi")
     ke.add_argument("--p", default=None, help="integer, range, or 'all'")
+    ke.set_defaults(run=_ke_result)
     add_common(ke)
 
     mab = sub.add_parser("mabuchi", help="Mabuchi-metric existence tests")
     mab.add_argument("--family", required=True, choices=("blpp", "quadpt"))
     mab.add_argument("--n", required=True)
     mab.add_argument("--p", default=None)
+    mab.set_defaults(run=_mabuchi_result)
     add_common(mab)
 
     coup = sub.add_parser("coupled", help="coupled Kähler-Einstein residual bracketing")
@@ -166,12 +164,13 @@ def _build_parser() -> _Parser:
     coup.add_argument("--bisections", default=40)
     coup.add_argument("--start", default=None, help="segment start divisor (default: built-in)")
     coup.add_argument("--end", default=None, help="segment end divisor (default: built-in)")
+    coup.set_defaults(run=_coupled_result)
     add_common(coup)
 
     mh = sub.add_parser("mh", help="multiplier-Hermitian certificates")
     mh.add_argument("--n", required=True)
     mh.add_argument("--p", default=None)
-    mh.set_defaults(family="blpp")
+    mh.set_defaults(family="blpp", run=_mh_result)
     add_common(mh)
 
     ver = sub.add_parser("verify", help="run the theorem-verification suites")
@@ -229,7 +228,8 @@ def _member_tasks(ns: argparse.Namespace, tag: FamilyTag) -> tuple[Task, ...]:
         raise SpecError(f"field --n: every requested n is below the family minimum {tag.min_n}")
     if not p_all and not any(p in tag.p_values(n) for n in n_values for p in p_values):
         raise SpecError("field --p: out of range for every requested n")
-    return tuple(Task(ns.command, tag, n, p) for n in n_values for p in p_at(n))
+    return tuple(Task(tag, (("n", n),) if p is None else (("n", n), ("p", p)), ns.run, (tag, n, p))
+                 for n in n_values for p in p_at(n))
 
 
 def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
@@ -261,7 +261,7 @@ def _coupled_tasks(ns: argparse.Namespace) -> tuple[Task, ...]:
                 shown = (_excerpt(texts[field].strip()) if field in given
                          else "the built-in endpoint " + ",".join(map(str, end)))
                 raise SpecError(f"field {field}: {shown} is not an ample pair at k = {k}")
-        tasks.append(Task("coupled", FamilyTag.BLPP, None, None, k, ns.bisections, *ends))
+        tasks.append(Task(FamilyTag.BLPP, (("k", k),), ns.run, (k, *ends, ns.bisections)))
     return tuple(tasks)
 
 
@@ -317,11 +317,9 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
 
 def _run_task(task: Task) -> dict:
     started = time.perf_counter()
-    row = {"family": task.family.value, "params": task.params}
+    row = {"family": task.family.value, "params": dict(task.params)}
     try:
-        result = {"ke": _ke_result, "mabuchi": _mabuchi_result, "mh": _mh_result,
-                  "coupled": _coupled_result}[task.command]
-        row["verdict"], row["witness"] = result(task)
+        row["verdict"], row["witness"] = task.run(*task.args)
     except NoBracketError as exc:
         row.update(verdict="no-bracket", witness={}, note=str(exc))
     except KstabError as exc:
@@ -330,8 +328,8 @@ def _run_task(task: Task) -> dict:
     return row
 
 
-def _ke_result(task: Task) -> tuple[str, dict]:
-    verdict = criteria.ke_classify(resolve(task.family, task.n, task.p))
+def _ke_result(family: FamilyTag, n: int, p: int | None) -> tuple[str, dict]:
+    verdict = criteria.ke_classify(resolve(family, n, p))
     axes = "t" if len(verdict.xi) == 1 else "xy"
     witness = {"mass": verdict.mass}
     witness.update((f"bary_{a}", b) for a, b in zip(axes, verdict.barycenter))
@@ -339,24 +337,25 @@ def _ke_result(task: Task) -> tuple[str, dict]:
     return verdict.status.value, witness
 
 
-def _mabuchi_result(task: Task) -> tuple[str, dict]:
-    verdict = criteria.mabuchi(resolve(task.family, task.n, task.p))
+def _mabuchi_result(family: FamilyTag, n: int, p: int | None) -> tuple[str, dict]:
+    verdict = criteria.mabuchi(resolve(family, n, p))
     witness = dict(verdict.detail)
     if verdict.ratio is not None:
         witness["ratio"] = verdict.ratio
     return verdict.status.value, witness
 
 
-def _mh_result(task: Task) -> tuple[str, dict]:
-    cert = criteria.mh_certificate(task.n, task.p)
+def _mh_result(family: FamilyTag, n: int, p: int) -> tuple[str, dict]:
+    cert = criteria.mh_certificate(n, p)  # family is blpp, the only one mh takes
     witness = {"moment_integral": cert.moment_integral}
     for idx, minimum in enumerate(cert.concavity_witness):
         witness[f"factor_min_{idx}"] = minimum
     return "certificate", witness
 
 
-def _coupled_result(task: Task) -> tuple[str, dict]:
-    cert = criteria.coupled_search(task.k, task.start, task.end, max_bisections=task.bisections)
+def _coupled_result(k: int, start: tuple[Fraction, ...] | None, end: tuple[Fraction, ...] | None,
+                    bisections: int) -> tuple[str, dict]:
+    cert = criteria.coupled_search(k, start, end, max_bisections=bisections)
     witness: dict = {}
     for label, params in (("lo", cert.params_lo), ("hi", cert.params_hi), ("mid", cert.midpoint)):
         for idx, value in enumerate(params):
@@ -545,7 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KstabError as exc:
         print(f"kstab: {exc.code}: {exc}", file=sys.stderr)
         return 2
-    if spec.out:
+    if spec.out is not None:
         try:
             with open(spec.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)

@@ -320,6 +320,14 @@ class TestExitCodes:
         assert err[0].startswith(f"kstab: cannot write {target}: ")
         assert not target.exists()
 
+    def test_empty_out_is_one(self, capsys):
+        code = main(["ke", "--family", "blpp", "--n", "4", "--p", "2", "--format", "csv",
+                     "--out", "", "--jobs", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("kstab: cannot write : ")
+
     def test_clean_sweep_is_zero(self, capsys):
         assert main(["ke", "--family", "blpp", "--n", "4..6", "--p", "all", "--jobs", "1"]) == 0
         capsys.readouterr()
@@ -518,11 +526,13 @@ class TestOneGate:
     def test_coupled_tasks_carry_their_segment(self, monkeypatch):
         given = parse_spec(["coupled", "--k", "5..6", "--start", "3,1/4,3/4", "--bisections", "4",
                             "--jobs", "1"]).tasks
-        assert [(t.start, t.end) for t in given] == [
-            ((F(3), F(1, 4), F(3, 4)), criteria.coupled_default_endpoints(k)[1]) for k in (5, 6)]
+        # a coupled row's call reads (k, start, end, bisections)
+        assert [t.args for t in given] == [
+            (k, (F(3), F(1, 4), F(3, 4)), criteria.coupled_default_endpoints(k)[1], 4)
+            for k in (5, 6)]
         built_in = parse_spec(["coupled", "--k", "1..3", "--bisections", "4", "--jobs", "1"]).tasks
-        assert [(t.start, t.end) for t in built_in] == [
-            (None, None), *(criteria.coupled_default_endpoints(k) for k in (2, 3))]
+        assert [t.args for t in built_in] == [
+            (1, None, None, 4), *((k, *criteria.coupled_default_endpoints(k), 4) for k in (2, 3))]
         assert pickle.loads(pickle.dumps(given + built_in)) == given + built_in
 
         def refuse(k):
@@ -536,10 +546,25 @@ class TestOneGate:
 
 class TestTasks:
     def test_tasks_are_picklable_records(self):
-        spec = parse_spec(["coupled", "--k", "3..4", "--bisections", "5", "--jobs", "1"])
-        tasks = spec.tasks
-        assert [t.params for t in tasks] == [{"k": 3}, {"k": 4}]
-        assert pickle.loads(pickle.dumps(tasks)) == tasks
+        # every row of every command sets the same four fields: family, params, and its call
+        assert cli.Task._fields == ("family", "params", "run", "args")
+        assert cli.Task._field_defaults == {}
+        rows = [
+            (["ke", "--family", "quadpm", "--n", "6"], (("n", 6),), cli._ke_result,
+             (FamilyTag.QUAD_PM, 6, None)),
+            (["mabuchi", "--family", "blpp", "--n", "6", "--p", "3"], (("n", 6), ("p", 3)),
+             cli._mabuchi_result, (FamilyTag.BLPP, 6, 3)),
+            (["mh", "--n", "6", "--p", "3"], (("n", 6), ("p", 3)), cli._mh_result,
+             (FamilyTag.BLPP, 6, 3)),
+            (["coupled", "--k", "3", "--bisections", "5"], (("k", 3),), cli._coupled_result,
+             (3, *criteria.coupled_default_endpoints(3), 5)),
+        ]
+        for argv, params, run, args in rows:
+            (task,) = parse_spec(argv + ["--jobs", "1"]).tasks
+            assert task[1:] == (params, run, args), argv
+            (twin,) = parse_spec(argv + ["--jobs", "1"]).tasks
+            assert twin == task and hash(twin) == hash(task), argv
+            assert pickle.loads(pickle.dumps(task)) == task, argv
 
     def test_error_row_takes_params_from_the_task(self):
         spec = parse_spec(["ke", "--family", "blpp", "--n", "5", "--p", "3..4", "--jobs", "1"])
@@ -690,10 +715,36 @@ class TestTasks:
                               "--format", "json", "--jobs", str(jobs)])
         assert sizes == [2, 3] and chunks == [5, 1]
 
-    def test_chunked_pool_keeps_row_order(self, monkeypatch):
-        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)  # a real 2-worker pool
-        args = ["ke", "--family", "blpp", "--n", "4..12", "--p", "all", "--format", "csv"]
-        assert render_to_string(args + ["--jobs", "2"]) == render_to_string(args + ["--jobs", "1"])
+    def test_chunked_pool_keeps_row_order(self, monkeypatch, capsys):
+        # every row kind crosses a real 2-worker pool with the bytes, stderr
+        # lines and exit code of the serial run
+        sweeps = [
+            ["ke", "--family", "blpp", "--n", "4..12", "--p", "all"],
+            ["mabuchi", "--family", "quadpt", "--n", "5..9"],
+            ["mh", "--n", "4..8", "--p", "all"],
+            # k < 2 is an invalid-parameter row, k = 2 a contract-breach row
+            ["coupled", "--k", "1..5", "--bisections", "8"],
+            # three rows: the pool takes two or more rows left after the first
+            ["coupled", "--k", "5..7", "--start", "3,1/4,3/4"],
+        ]
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "SERIAL_BUDGET_S", 0)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        for sweep, fmt in itertools.product(sweeps, ("json", "csv")):
+            argv = sweep + ["--format", fmt]
+            code = main(argv + ["--jobs", "1"])
+            serial = capsys.readouterr()
+            assert started == [], argv
+            assert (main(argv + ["--jobs", "2"]), capsys.readouterr()) == (code, serial), argv
+            assert started == [2], argv
+            started.clear()
 
     def test_import_starts_no_pool_machinery(self):
         # a fresh interpreter: this one has imported concurrent.futures already
