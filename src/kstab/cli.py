@@ -23,6 +23,7 @@ no-bracket row goes to stderr, one line a row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,6 +135,7 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+@functools.cache  # once per process: parse_spec reuses it for every invocation
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kstab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,7 +143,7 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--jobs", default=_available_cpus(),
+        p.add_argument("--jobs", default=None,
                        help="most workers a sweep may use once its rows left would take "
                             f"{SERIAL_BUDGET_S} s serially (default: the available parallelism)")
 
@@ -280,7 +282,8 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
 
     Every ``SpecError`` is raised here or in the helpers above, so a spec
     that parses runs without one.  A sweep's rows are counted, and refused
-    when too many, before any is built.
+    when too many, before any is built.  Every call shares the one parser
+    of the process, and --jobs's default, the available CPUs, is read here.
     """
     ns = _build_parser().parse_args(_attach_values(argv))
     # integer flags are read here, not by argparse, which would echo a refused value whole
@@ -303,11 +306,12 @@ def parse_spec(argv: Sequence[str]) -> RunSpec:
         tasks = _coupled_tasks(ns)
     else:
         tasks = _member_tasks(ns, tag)
-    if ns.jobs < 1:
+    jobs = _available_cpus() if ns.jobs is None else ns.jobs
+    if jobs < 1:
         raise SpecError("field --jobs: must be at least 1")
     return RunSpec(command=ns.command, tasks=tasks, suite=getattr(ns, "suite", "all"),
                    max_n=getattr(ns, "max_n", 40), member=member, fmt=ns.format, out=ns.out,
-                   jobs=ns.jobs)
+                   jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

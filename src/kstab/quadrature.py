@@ -134,10 +134,12 @@ def _factorials(top: int) -> list[int]:
     return facts
 
 
-def _unit_integral(ends: Sequence[tuple[int, int, int]], facts: Sequence[int]) -> int:
+def _unit_integral(ends: Sequence[tuple[int, int, int]], facts: Sequence[int],
+                   weights: dict[int, list[int]]) -> int:
     """(M + 1)! times the integral over [0, 1] of the product of
     ((1 - s) u + s v)^m over ``ends`` = (u, v, m), in ints, with M the sum of
-    the m and ``facts`` the factorials 0!..(M+1)!.
+    the m, ``facts`` the factorials 0!..(M+1)! and ``weights`` the caller's
+    memo of the vertex weights K! (D-K)!, K = 0..D, by degree D.
 
     A factor that is constant on [0, 1] is a scalar, one that vanishes at an
     end is a power of s or of 1 - s, and factors with equal ends merge.  The
@@ -175,8 +177,10 @@ def _unit_integral(ends: Sequence[tuple[int, int, int]], facts: Sequence[int]) -
     b = [1]
     for seq in seqs:
         b = _times(b, seq)
-    w = [facts[k] * facts[degree - k] for k in range(trail, degree + 1)]
-    return scalar * sum(bi * sum(map(mul, w[i:], last)) for i, bi in enumerate(b))
+    if degree not in weights:
+        weights[degree] = [facts[k] * facts[degree - k] for k in range(degree + 1)]
+    w = weights[degree]
+    return scalar * sum(bi * sum(map(mul, w[trail + i:], last)) for i, bi in enumerate(b))
 
 
 def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fraction:
@@ -199,7 +203,7 @@ def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fra
         top += mult
     facts = _factorials(top + 1)
     p = weight.prefactor
-    return Fraction(p.numerator * (hi - lo) * _unit_integral(ends, facts),
+    return Fraction(p.numerator * (hi - lo) * _unit_integral(ends, facts, {}),
                     p.denominator * facts[-1] * scale)
 
 
@@ -237,12 +241,12 @@ def _integrate_factored_polygon(weight: FactoredWeight, polygon: Polygon) -> Fra
         columns.append(([a * x + b * y for x, y in zip(xs, ys)], mult))
         scale *= e**mult
         top += mult
-    facts, total, count = _factorials(top + 1), 0, len(xs)
+    facts, weights, total, count = _factorials(top + 1), {}, 0, len(xs)
     for i in range(count):
         j = (i + 1) % count
         det = xs[i] * ys[j] - ys[i] * xs[j]
         if det:
-            total += det * _unit_integral([(vals[i], vals[j], mult) for vals, mult in columns], facts)
+            total += det * _unit_integral([(vals[i], vals[j], mult) for vals, mult in columns], facts, weights)
     p = weight.prefactor
     return Fraction(p.numerator * total, p.denominator * (top + 2) * facts[-1] * den ** (top + 2) * scale)
 
@@ -277,9 +281,9 @@ def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
         lines.append((u0, u1, v0, v1, mult))
         den *= d**mult
         top += mult
-    facts, first = _factorials(top + 1), -(top // 2)
-    total = _interpolate([_unit_integral([(u0 + u1 * s, v0 + v1 * s, m) for u0, u1, v0, v1, m in lines], facts)
-                          for s in range(first, first + top + 1)], first)
+    facts, weights, first = _factorials(top + 1), {}, -(top // 2)
+    total = _interpolate([_unit_integral([(u0 + u1 * s, v0 + v1 * s, m) for u0, u1, v0, v1, m in lines],
+                                         facts, weights) for s in range(first, first + top + 1)], first)
     lengths = (start_segment.hi - start_segment.lo, end_segment.hi - end_segment.lo)
     (l0, l1), dl = _over_common_denominator((lengths[0], lengths[1] - lengths[0]))
     p = start.prefactor

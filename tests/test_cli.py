@@ -489,6 +489,83 @@ class TestSpecParsing:
             parse_spec(["dump-instance", "--family", "quade", "--n", "9", "--divisor", "3,6"])
 
 
+def _spec_or_refusal(argv):
+    try:
+        return parse_spec(argv)
+    except cli.SpecError as exc:
+        return f"refused: {exc}"
+
+
+class TestSharedParser:
+    """``parse_spec`` builds the argparse parser once per process and reuses it."""
+
+    # the benchmark's nine sweeps and its verify run, as it passes them
+    BENCHMARK_ARGV = [argv + ["--format", "json", "--out", "report.json", "--jobs", "2"] for argv in (
+        ["ke", "--family", "blpp", "--n", "4..24", "--p", "all"],
+        ["ke", "--family", "blqq", "--n", "6..25", "--p", "all"],
+        ["ke", "--family", "quade", "--n", "5..24"],
+        ["ke", "--family", "quadpt", "--n", "5..25"],
+        ["ke", "--family", "quadpm", "--n", "5..24"],
+        ["mabuchi", "--family", "blpp", "--n", "4..25", "--p", "all"],
+        ["mabuchi", "--family", "quadpt", "--n", "5..24"],
+        ["mh", "--n", "4..24", "--p", "all"],
+        ["coupled", "--k", "2..11"],
+        ["verify", "--suite", "all", "--max-n", "16"],
+    )]
+
+    def test_a_process_builds_one_parser(self):
+        # a fresh interpreter: this one may have built the parser already
+        code = ("import json, sys\nfrom kstab import cli\nbuilt, init = [], cli._Parser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(kwargs['prog'])\n    init(self, *args, **kwargs)\n"
+                "cli._Parser.__init__ = counting\n"
+                "for argv in json.loads(sys.argv[1]):\n    cli.parse_spec(argv)\n"
+                "print(json.dumps(built))")
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(self.BENCHMARK_ARGV)],
+                             capture_output=True, text=True, check=True, cwd=SRC_DIR.parent)
+        built = json.loads(out.stdout)
+        # the top parser and each subcommand's, each constructed once
+        assert built.count("kstab") == 1 and len(built) == len(set(built)) > 1, built
+
+    def test_jobs_default_is_read_at_every_parse(self, monkeypatch):
+        args = ["ke", "--family", "blpp", "--n", "4", "--p", "2"]
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+        assert parse_spec(args).jobs == 3
+        # the parser exists now; its --jobs default must not have kept the 3
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 7)
+        assert parse_spec(args).jobs == 7
+        assert parse_spec(args + ["--jobs", "2"]).jobs == 2
+
+    def test_reuse_leaks_no_state(self):
+        # refused invocations between valid ones give what a newly built parser gives
+        invocations = [
+            ["ke", "--family", "blpp", "--n", "4..6", "--p", "all", "--jobs", "1"],
+            ["ke", "--family", "quade", "--n", "5", "--p", "2"],
+            ["mh", "--n", "4..6"],
+            ["mh", "--n", "4", "--p", "-2..1"],
+            ["coupled", "--k", "5..6", "--start", "3,1/4,3/4"],
+            ["coupled", "--k", "-1..1"],
+            ["verify", "--max-n", "9", "--format", "csv"],
+            ["nope", "--n", "4"],
+            ["dump-instance", "--family", "blpp", "--n", "5", "--p", "2", "--divisor", "3,1,1"],
+            ["ke", "--family", "blpp", "--n", "4", "--jobs", "0"],
+            ["mabuchi", "--family", "quadpt", "--n", "5..7", "--out", "report.md"],
+            ["ke", "--n", "5"],
+            ["ke", "--family", "blqq", "--n", "6", "--p", "3", "--jobs", "3"],
+            ["mabuchi", "--family", "quadpt", "--n", "5..7", "--bogus"],
+            ["ke", "--family", "quadpm", "--n", "5"],
+        ]
+        cli._build_parser.cache_clear()
+        shared = [_spec_or_refusal(argv) for argv in invocations]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in invocations:
+            cli._build_parser.cache_clear()
+            fresh.append(_spec_or_refusal(argv))
+        assert shared == fresh
+        assert [isinstance(r, str) for r in shared] == [i % 2 == 1 for i in range(len(invocations))]
+
+
 @st.composite
 def _dump_members(draw):
     """dump-instance's --family, --n, --p and a well-formed --divisor: none,

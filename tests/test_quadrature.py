@@ -373,9 +373,9 @@ class TestSampledSegmentFormula:
 
         kernel, seen = quadrature._unit_integral, []
 
-        def recording(ends, facts):
+        def recording(ends, *args):
             seen.append([(u, v) for u, v, _ in ends])
-            return kernel(ends, facts)
+            return kernel(ends, *args)
 
         monkeypatch.setattr(quadrature, "_unit_integral", recording)
         coeffs, den = quadrature.integrate_factored_along(weight(0), Segment.of(0, 1), weight(1), Segment.of(0, 2))
