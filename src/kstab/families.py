@@ -53,8 +53,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import DegenerateRegionError, InvalidParameterError, WeightPositivityError, ZeroMassError
-from .poly import (AffineForm, FactoredWeight, RationalLike, _as_fraction, _over_common_denominator,
-                   rational_to_str)
+from .poly import AffineForm, FactoredWeight, RationalLike, _as_fraction, _factor_values, rational_to_str
 from .polytope import Polygon, Segment, polygon_from_halfplanes
 from .quadrature import integrate_factored, integrate_factored_along
 
@@ -255,12 +254,8 @@ def _check_weight_positive(weight: FactoredWeight, vertices: Sequence[Sequence[R
     """Require every affine factor to be nonnegative on the domain and not
     identically zero on it; this makes the weight positive on the interior.
     Every family weight raises each factor to a positive power."""
-    coords, den = _over_common_denominator([c for vertex in vertices for c in vertex])
-    points = [coords[i:i + weight.nvars] for i in range(0, len(coords), weight.nvars)]
-    for form, _ in weight.factors:
-        # In ints: the form's value at each vertex times den and the form's own denominator.
-        (c, *slopes), _ = _over_common_denominator((form.constant, *form.linear))
-        values = [c * den + sum(map(mul, slopes, point)) for point in points]
+    _, _, columns, _, _ = _factor_values(weight, [c for vertex in vertices for c in vertex])
+    for (form, _), (values, _, _) in zip(weight.factors, columns):
         if min(values) < 0 or max(values) <= 0:
             raise WeightPositivityError(
                 f"weight factor {_form_text(form)} is not positive on the domain interior"

@@ -454,7 +454,41 @@ class FactoredWeight(NamedTuple):
         Affine forms attain their extrema over a convex hull at the given
         points, so this decides positivity on the hull.
         """
-        pts = [tuple(p) for p in points]
-        if not pts:
-            raise InvalidParameterError("factor_minima requires at least one point")
-        return tuple(min(form.evaluate(p) for p in pts) for form, _ in self.factors)
+        pts = [tuple(map(_as_fraction, p)) for p in points]
+        if not pts or any(len(p) != self.nvars for p in pts):
+            raise InvalidParameterError(f"factor_minima requires one or more points of {self.nvars} coordinate(s)")
+        _, _, columns, _, _ = _factor_values(self, [c for p in pts for c in p])
+        return tuple(Fraction(min(values), scale) for values, scale, _ in columns)
+
+
+def _factor_values(weight: FactoredWeight, coords: Sequence[Fraction]
+                   ) -> tuple[list[int], int, list[tuple[list[int], int, int]], int, int]:
+    """The one place that turns a weight's factors and points into ints.
+
+    ``coords`` lists the points' coordinates, as many per point as the weight
+    has variables.  Returned: their numerators over one denominator D, and D;
+    for each factor, its values at the points as ints over its own scale,
+    sharing no divisor with it, that scale and its multiplicity; the product
+    of the scales to their multiplicities; and M, the sum of multiplicities.
+    A factor c + a x (+ b y) is (c D + a X (+ b Y)) / D at (X (, Y)) / D, so
+    with e the product of its coefficients' denominators its values are ints
+    over e D, and they and e D are divided by their gcd.
+    """
+    coords, den = _over_common_denominator(coords)
+    xs, ys = (coords, None) if weight.nvars == 1 else (coords[::2], coords[1::2])
+    columns, scale, top = [], 1, 0
+    for (c, slopes), mult in weight.factors:
+        (cn, cd), (an, ad) = c.as_integer_ratio(), slopes[0].as_integer_ratio()
+        if ys is None:
+            c, a, e = cn * ad * den, an * cd, cd * ad * den
+            values = [c + a * x for x in xs]
+        else:
+            bn, bd = slopes[1].as_integer_ratio()
+            c, a, b, e = cn * ad * bd * den, an * cd * bd, bn * cd * ad, cd * ad * bd * den
+            values = [c + a * x + b * y for x, y in zip(xs, ys)]
+        if e > 1 and (g := math.gcd(*values, e)) > 1:
+            values, e = [v // g for v in values], e // g
+        columns.append((values, e, mult))
+        scale *= e**mult
+        top += mult
+    return coords, den, columns, scale, top

@@ -2,36 +2,33 @@
 polynomials over segments and triangles.
 
 ``integrate_factored`` takes a weight kept as c * prod l_j^m_j, never
-multiplies it out, and is the one place that tells a segment from a polygon.
-Over a segment [lo, hi] it applies the vertex formula of a simplex (below)
-with d = 1 to the affine factors instead of monomials: with u_j = l_j(lo),
-v_j = l_j(hi) and M = sum m_j,
+multiplies it out, and sums over the edges of its domain.  The segment
+formula is the vertex formula of a simplex (below) with d = 1, applied to
+the affine factors instead of monomials: with u_j = l_j(lo), v_j = l_j(hi)
+and M = sum m_j,
 
-    integral  =  c (hi - lo) / (M+1)! * sum_K K! (M-K)! b_K,
+    integral over [lo, hi]  =  c (hi - lo) / (M+1)! * sum_K K! (M-K)! b_K,
 
 where b is the convolution over j of the sequences C(m_j, k) u_j^(m_j-k) v_j^k,
 k = 0..m_j.  A factor that is constant on the segment, or zero at one end, is
-a single term, and a lone factor is a closed form.
-
-Over a polygon a factor (l + k)^m with a constant k != 0 is first split into
-its linear pieces C(m, i) k^(m-i) l^i, at most m + 1 of them, and each
-product of linear forms is integrated on its own.  Such a product f is
-homogeneous of degree M, and Lasserre's edge formula ("Integration on a
-convex polytope", Proc. AMS 126 (1998)) integrates it from the boundary
-alone:
+a single term, and a lone factor is a closed form.  A product f of linear
+forms is homogeneous of degree M, and Lasserre's edge formula ("Integration
+on a convex polytope", Proc. AMS 126 (1998)) integrates it over a polygon
+from the boundary alone:
 
     integral over P of f  =  1/(2+M) * sum over edges v -> w of det(v, w) * integral_0^1 f(v + s(w-v)) ds.
 
-det(v, w) = c_F t_F for the edge's coprime outward plane a x + b y = c_F and
-w - v = t_F (-b, a), so an edge through the origin drops out, and each edge
-integral is the segment formula on the factors' values at v and w.
+So one edge sum, sum_e coef_e times the segment formula at the edge's ends,
+serves both: a segment is one edge lo -> hi with coef = hi - lo, and a
+polygon's edges carry det(v, w), which is zero for an edge through the
+origin.  On a polygon a factor (l + k)^m with a constant k != 0 is first
+split into its linear pieces C(m, i) k^(m-i) l^i, at most m + 1 of them.
 
-Both routes run in ints.  The segment ends, or the polygon vertices, go over
-one denominator and each factor's coefficients over theirs, so every end value
-is an int, and each integral builds one Fraction, at the end.  On a segment
-each factor's pair of values is reduced to its least common denominator, so
-the ends of a bisected divisor class, with denominators near 2^40, cost no
-more than their values.
+The sum runs in ints: ``poly._factor_values`` puts the points over one
+denominator D and each factor's values over the least denominator they
+share, so the ends of a bisected divisor class, with denominators near
+2^40, cost no more than their values, and each integral builds one
+Fraction, dividing by (M+d)! D^d and each factor's denominator to its power.
 
 ``integrate_factored_along`` moves the segment ends and factor constants
 affinely in s, so every u_j and v_j is affine in s and (M+1)! times the integral
@@ -59,12 +56,12 @@ Everything is a pure function of exact rationals; nothing here rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError, ZeroMassError
-from .poly import FactoredWeight, Poly1, Poly2, _over_common_denominator, _times
+from .poly import AffineForm, FactoredWeight, Poly1, Poly2, _factor_values, _over_common_denominator, _times
 from .polytope import Point, Polygon, Segment, _cross, triangulate
 
 
@@ -183,30 +180,6 @@ def _unit_integral(ends: Sequence[tuple[int, int, int]], facts: Sequence[int],
     return scalar * sum(bi * sum(map(mul, w[trail + i:], last)) for i, bi in enumerate(b))
 
 
-def _integrate_factored_segment(weight: FactoredWeight, segment: Segment) -> Fraction:
-    """Integral of a factored weight over [lo, hi] from each factor's values
-    at the two ends: the factored vertex formula with d = 1.
-
-    lo and hi go over one denominator D and each factor's coefficients over
-    theirs, e_j, so the factor's two values are ints over e_j D; they are
-    reduced to their least common denominator d_j, and the one Fraction
-    divides by (M+1)! D prod d_j^m_j.
-    """
-    (lo, hi), den = _over_common_denominator(segment)
-    ends, scale, top = [], den, 0
-    for form, mult in weight.factors:
-        (c, slope), d = _over_common_denominator((form.constant, *form.linear))
-        u, v, d = c * den + slope * lo, c * den + slope * hi, d * den
-        g = gcd(u, v, d)
-        ends.append((u // g, v // g, mult))
-        scale *= (d // g) ** mult
-        top += mult
-    facts = _factorials(top + 1)
-    p = weight.prefactor
-    return Fraction(p.numerator * (hi - lo) * _unit_integral(ends, facts, {}),
-                    p.denominator * facts[-1] * scale)
-
-
 def _linear_pieces(weight: FactoredWeight) -> list[FactoredWeight]:
     """Weights of linear factors only whose sum is ``weight``: each factor
     (l + k)^m with k != 0 becomes the pieces C(m, i) k^(m-i) l^i."""
@@ -224,31 +197,25 @@ def _linear_pieces(weight: FactoredWeight) -> list[FactoredWeight]:
     return pieces
 
 
-def _integrate_factored_polygon(weight: FactoredWeight, polygon: Polygon) -> Fraction:
-    """Integral of a product of linear forms, of total degree M, over a
-    polygon from its edges (Lasserre's formula, in the module docstring);
-    every factor's constant term must be zero.
-
-    The vertices go over one denominator D and each factor's slopes over
-    theirs, e_j, so each edge's det(v, w) D^2 and every factor's end values
-    times e_j D are ints; the one Fraction divides by (M+2)! D^(M+2) prod e_j^m_j.
-    """
-    coords, den = _over_common_denominator([c for vertex in polygon.vertices for c in vertex])
-    xs, ys = coords[::2], coords[1::2]
-    columns, scale, top = [], 1, 0
-    for form, mult in weight.factors:
-        (a, b), e = _over_common_denominator(form.linear)
-        columns.append(([a * x + b * y for x, y in zip(xs, ys)], mult))
-        scale *= e**mult
-        top += mult
-    facts, weights, total, count = _factorials(top + 1), {}, 0, len(xs)
-    for i in range(count):
-        j = (i + 1) % count
-        det = xs[i] * ys[j] - ys[i] * xs[j]
-        if det:
-            total += det * _unit_integral([(vals[i], vals[j], mult) for vals, mult in columns], facts, weights)
+def _edge_sum(weight: FactoredWeight, coords: Sequence[Fraction]) -> Fraction:
+    """Integral of a factored weight over the segment (d = 1) or polygon
+    (d = 2, linear factors only) whose vertices have these coordinates: the
+    edge sum of the module docstring, with every coef_e D^d and factor value
+    an int, and one Fraction that divides by (M+d)! D^d prod scale_j^m_j."""
+    coords, den, columns, scale, top = _factor_values(weight, coords)
+    d = weight.nvars
+    if d == 1:
+        edges = [(0, 1, coords[1] - coords[0])]
+    else:  # the edges v_(i-1) -> v_i, the first one closing the cycle
+        xs, ys = coords[::2], coords[1::2]
+        edges = [(i - 1, i, xs[i - 1] * ys[i] - ys[i - 1] * xs[i]) for i in range(len(xs))]
+    facts, weights, total = _factorials(top + 1), {}, 0
+    for i, j, coef in edges:
+        if coef:
+            total += coef * _unit_integral([(values[i], values[j], mult) for values, _, mult in columns],
+                                           facts, weights)
     p = weight.prefactor
-    return Fraction(p.numerator * total, p.denominator * (top + 2) * facts[-1] * den ** (top + 2) * scale)
+    return Fraction(p.numerator * total, p.denominator * facts[-1] * (top + 2) ** (d - 1) * den**d * scale)
 
 
 def _interpolate(values: Sequence[int], first: int) -> list[int]:
@@ -270,25 +237,23 @@ def integrate_factored_along(start: FactoredWeight, start_segment: Segment,
     """Integral of a weight over a segment, both moving affinely in s from
     (``start``, ``start_segment``) at s = 0 to (``end``, ``end_segment``) at
     s = 1, which share the prefactor and every factor's slopes and
-    multiplicity: integer coefficients in s, constant first, and one denominator."""
+    multiplicity: integer coefficients in s, constant first, and one denominator.
+    Each factor pair c + a t and c' + a t is read as the form c + a t + (c' - c) s
+    at (lo, 0) and (hi, 0) of the start segment and (lo, 1) and (hi, 1) of the end one."""
     if len({(w.prefactor, tuple((f.linear, m) for f, m in w.factors)) for w in (start, end)}) > 1:
         raise ContractError("the two weights differ in a prefactor, a slope or a multiplicity")
-    lines, den, top = [], 1, 0
-    for (f, mult), (g, _) in zip(start.factors, end.factors):
-        u, v = f.evaluate((start_segment.lo,)), f.evaluate((start_segment.hi,))
-        (u0, u1, v0, v1), d = _over_common_denominator(
-            (u, g.evaluate((end_segment.lo,)) - u, v, g.evaluate((end_segment.hi,)) - v))
-        lines.append((u0, u1, v0, v1, mult))
-        den *= d**mult
-        top += mult
+    p = start.prefactor
+    moving = FactoredWeight(p, tuple((AffineForm(f.constant, (*f.linear, g.constant - f.constant)), mult)
+                                     for (f, mult), (g, _) in zip(start.factors, end.factors)), 2)
+    coords, den, columns, scale, top = _factor_values(moving, (start_segment.lo, 0, start_segment.hi, 0,
+                                                               end_segment.lo, 1, end_segment.hi, 1))
+    lines = [(u0, u1 - u0, v0, v1 - v0, mult) for (u0, v0, u1, v1), _, mult in columns]
     facts, weights, first = _factorials(top + 1), {}, -(top // 2)
     total = _interpolate([_unit_integral([(u0 + u1 * s, v0 + v1 * s, m) for u0, u1, v0, v1, m in lines],
                                          facts, weights) for s in range(first, first + top + 1)], first)
-    lengths = (start_segment.hi - start_segment.lo, end_segment.hi - end_segment.lo)
-    (l0, l1), dl = _over_common_denominator((lengths[0], lengths[1] - lengths[0]))
-    p = start.prefactor
-    return ([p.numerator * c for c in _times(total, (l0, l1))],
-            p.denominator * dl * facts[-1] * den)
+    lo0, _, hi0, _, lo1, _, hi1, _ = coords
+    lengths = (hi0 - lo0, hi1 - lo1 - hi0 + lo0)
+    return [p.numerator * c for c in _times(total, lengths)], p.denominator * facts[-1] * den * scale
 
 
 def integrate_poly2_triangle(f: Poly2, triangle: tuple[Point, Point, Point]) -> Fraction:
@@ -306,10 +271,14 @@ def integrate_poly2_polygon(f: Poly2, polygon: Polygon) -> Fraction:
 
 def integrate_factored(weight: FactoredWeight, domain: Segment | Polygon) -> Fraction:
     """Integral of a factored weight, any product of affine powers, over a
-    segment or a polygon."""
-    if isinstance(domain, Segment):
-        return _integrate_factored_segment(weight, domain)
-    return sum(_integrate_factored_polygon(piece, domain) for piece in _linear_pieces(weight))
+    segment (a weight in one variable) or a polygon (in two)."""
+    if weight.nvars == 1 and isinstance(domain, Segment):
+        return _edge_sum(weight, domain)
+    if weight.nvars != 2 or isinstance(domain, Segment):
+        raise ContractError(f"a weight in {weight.nvars} variable(s) reached a {type(domain).__name__}")
+    coords = [c for vertex in domain.vertices for c in vertex]
+    first, *rest = [_edge_sum(piece, coords) for piece in _linear_pieces(weight)]
+    return sum(rest, first)
 
 
 class Moments2(NamedTuple):

@@ -210,3 +210,41 @@ def test_rational_rejects_decimals():
         rational_from_str("0.5")
     with pytest.raises(InvalidParameterError):
         rational_from_str("1e3")
+
+
+# Coordinates and coefficients from small rationals up to denominators near 2^40.
+_far_rationals = st.one_of(rationals, st.integers(-9, 9),
+                           st.builds(F, st.integers(-2**42, 2**42), st.integers(2**40 - 2**10, 2**40)))
+
+
+@st.composite
+def _weights_and_points(draw):
+    """A weight of 0-4 affine forms in one or two variables and 1-6 points."""
+    nvars = draw(st.integers(1, 2))
+    forms = [(AffineForm.of(draw(_far_rationals), *draw(st.tuples(*[_far_rationals] * nvars))),
+              draw(st.integers(0, 3))) for _ in range(draw(st.integers(0, 4)))]
+    points = draw(st.lists(st.tuples(*[_far_rationals] * nvars), min_size=1, max_size=6))
+    return FactoredWeight.of(draw(rationals), forms, nvars=nvars), points
+
+
+class TestFactorMinima:
+    """Each factor's minimum over the points, read off the integer values,
+    against ``AffineForm.evaluate`` in Fractions at each point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_weights_and_points())
+    def test_matches_evaluation_at_each_point(self, case):
+        weight, points = case
+        expected = tuple(min(form.evaluate(p) for p in points) for form, _ in weight.factors)
+        assert weight.factor_minima(points) == expected
+        assert weight.factor_minima(iter(points)) == expected
+
+    @pytest.mark.parametrize("nvars, points", [
+        (1, []), (2, []),
+        (1, [(1,), (1, 2)]), (2, [(1, 2), (3,)]), (2, [(1, 2, 3)]),
+        (1, [(F(1, 2),), (0.5,)]), (2, [(1, 2.0)]),
+    ], ids=["empty-1", "empty-2", "long-point", "short-point", "three-coordinates", "float-1", "float-2"])
+    def test_refuses_what_is_not_a_point_list(self, nvars, points):
+        weight = FactoredWeight.of(1, [(AffineForm.of(1, *[2] * nvars), 1)])
+        with pytest.raises(InvalidParameterError):
+            weight.factor_minima(points)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kstab import criteria, quadrature
@@ -178,6 +178,13 @@ class TestIntegrateFactored:
         assert integrate_factored(inst.weight, inst.domain) == integrate_poly1(
             inst.weight.expand(), inst.domain)
 
+    def test_weight_and_domain_must_share_a_dimension(self):
+        square = polygon_from_halfplanes([(-1, 0, 0), (0, -1, 0), (1, 0, 1), (0, 1, 1)])
+        with pytest.raises(ContractError):
+            integrate_factored(FactoredWeight.of(1, [(AffineForm.of(1, 1, 1), 2)]), Segment.of(0, 1))
+        with pytest.raises(ContractError):
+            integrate_factored(FactoredWeight.of(1, [(AffineForm.of(1, 1), 2)]), square)
+
     def test_polygon_edges_equal_expanded_triangles(self):
         inst = resolve_anticanonical(FamilyTag.BLQQ, 9, 4)
         assert integrate_factored(inst.weight, inst.domain) == integrate_poly2_polygon(
@@ -208,11 +215,25 @@ def _affine_product_on_polygon(draw):
     return FactoredWeight.of(draw(_small), factors), polygon
 
 
+def _far_denominators():
+    """A quadrilateral with a vertex over a denominator near 2^40, where the
+    planes (2^20 + 1) x + y <= 2^20 + 5 and x + (2^20 + 3) y <= 2^20 + 7 meet,
+    and a weight whose factors, one vanishing there, take values at the
+    vertices that share divisors with their common denominator."""
+    big = 2**20
+    polygon = polygon_from_halfplanes([(-1, 0, 0), (0, -1, 0), (big + 1, 1, big + 5), (1, big + 3, big + 7)])
+    (x, y), = [v for v in polygon.vertices if v[0].denominator > 2**39]
+    weight = FactoredWeight.of(F(3, 7), [(AffineForm.of(-(x + y), 1, 1), 2), (AffineForm.of(0, y, -x), 1),
+                                         (AffineForm.of(F(1, 3), F(big, 5), F(-2, 9)), 1)])
+    return weight, polygon
+
+
 class TestEdgeRoute:
     """The edge formula on polygons against the expanded weight integrated by triangles."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=_affine_product_on_polygon())
+    @example(case=_far_denominators())
     def test_random_linear_products_on_random_polygons(self, case):
         weight, polygon = case
         assert integrate_factored(weight, polygon) == integrate_poly2_polygon(weight.expand(), polygon)
@@ -278,6 +299,7 @@ class TestUnimodularInvariance:
 
     @settings(max_examples=150, deadline=None)
     @given(case=_affine_product_on_polygon(), matrix=_unimodular())
+    @example(case=_far_denominators(), matrix=(((1, 2), (0, 1)), ((1, -2), (0, 1))))
     def test_integral_is_invariant(self, case, matrix):
         weight, polygon = case
         _, a_inv = matrix
